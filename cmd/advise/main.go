@@ -20,7 +20,7 @@ import (
 
 func main() {
 	sceneNum := flag.Int("scene", 0, "advise a single Table 1 scene (0 = all scenes needing process)")
-	stats := flag.Bool("engine-stats", false, "print engine cache/dispatch counters to stderr when done")
+	stats := flag.Bool("engine-stats", false, "print engine dispatch counters to stderr when done")
 	flag.Parse()
 	if err := run(*sceneNum, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "advise:", err)
@@ -29,9 +29,7 @@ func main() {
 }
 
 func run(sceneNum int, stats bool) error {
-	// The advisor re-evaluates each scene's counterfactual variants, so a
-	// ruling cache lets the batch pass and the advisor share work.
-	opts := []legal.EngineOption{legal.WithRulingCache(0)}
+	var opts []legal.EngineOption
 	if stats {
 		opts = append(opts, legal.WithEngineStats())
 	}
@@ -77,8 +75,8 @@ func run(sceneNum int, stats bool) error {
 	if stats {
 		s := engine.Stats()
 		fmt.Fprintf(os.Stderr,
-			"engine stats: %d evaluations (+%d deduped), cache %d hits / %d misses, %d rules scanned (table %d)\n",
-			s.Evaluations, s.BatchDeduped, s.CacheHits, s.CacheMisses, s.RulesScanned, s.RuleTableSize)
+			"engine stats: %d evaluations, %d rules scanned (table %d)\n",
+			s.Evaluations, s.RulesScanned, s.RuleTableSize)
 	}
 	return nil
 }

@@ -11,11 +11,11 @@
 //	evaluate -batch actions.json   (or "-batch -" to read stdin)
 //
 // Batch mode reads a JSON array of legal.Action values, evaluates them
-// concurrently through Engine.EvaluateBatch with a ruling cache, and
-// emits one JSON ruling view per action, in input order. With
-// -engine-stats, the engine's cache and dispatch counters (hits,
-// misses, evictions, rules scanned per walk) are printed to stderr
-// after the batch.
+// concurrently through Engine.EvaluateBatch, and emits one JSON ruling
+// view per action, in input order. With -engine-stats, the engine's
+// dispatch and delta counters (evaluations, invalid actions, rules
+// scanned per walk, delta short-circuits) are printed to stderr after
+// the batch.
 package main
 
 import (
@@ -91,7 +91,7 @@ func main() {
 		asJSON  = flag.Bool("json", false, "emit the ruling as JSON")
 		batch   = flag.String("batch", "", "evaluate a JSON array of actions from FILE (\"-\" = stdin)")
 		deltas  = flag.String("deltas", "", "stream a JSONL file from FILE (\"-\" = stdin): first line a base action, then action deltas; rulings print only when they change")
-		stats   = flag.Bool("engine-stats", false, "after a batch or delta run, print engine cache/dispatch counters to stderr")
+		stats   = flag.Bool("engine-stats", false, "after a batch or delta run, print engine dispatch/delta counters to stderr")
 	)
 	flag.Parse()
 	var err error
@@ -108,24 +108,26 @@ func main() {
 	}
 }
 
-// printEngineStats renders the -engine-stats report: cache
-// effectiveness and dispatch selectivity, written to stderr so the
-// ruling JSON on stdout stays machine-readable.
+// newEngine builds the command's engine, collecting counters when the
+// -engine-stats report was asked for.
+func newEngine(stats bool) *legal.Engine {
+	if stats {
+		return legal.NewEngine(legal.WithEngineStats())
+	}
+	return legal.NewEngine()
+}
+
+// printEngineStats renders the -engine-stats report: dispatch
+// selectivity and delta effectiveness, written to stderr so the ruling
+// JSON on stdout stays machine-readable.
 func printEngineStats(w io.Writer, s legal.EngineStats) {
 	fmt.Fprintf(w, "engine stats:\n")
-	fmt.Fprintf(w, "  evaluations:     %d (+%d batch slots deduplicated, +%d delta-chained)\n",
-		s.Evaluations, s.BatchDeduped, s.BatchDeltaChained)
+	fmt.Fprintf(w, "  evaluations:     %d\n", s.Evaluations)
 	if s.DeltaEvaluations > 0 {
 		fmt.Fprintf(w, "  delta evals:     %d (%d short-circuited)\n", s.DeltaEvaluations, s.DeltaShortCircuits)
 	}
-	fmt.Fprintf(w, "  cache:           %d hits / %d misses / %d evictions (%d rulings memoized)\n",
-		s.CacheHits, s.CacheMisses, s.CacheEvictions, s.CacheSize)
 	fmt.Fprintf(w, "  invalid actions: %d\n", s.InvalidActions)
-	evaluated := s.Evaluations - s.InvalidActions
-	if s.CacheMisses > 0 {
-		evaluated = s.CacheMisses - s.InvalidActions
-	}
-	if evaluated > 0 {
+	if evaluated := s.Evaluations - s.InvalidActions; evaluated > 0 {
 		fmt.Fprintf(w, "  rules scanned:   %d (avg %.1f of %d per table walk)\n",
 			s.RulesScanned, float64(s.RulesScanned)/float64(evaluated), s.RuleTableSize)
 	} else {
@@ -147,11 +149,7 @@ func runBatch(path string, stats bool) error {
 	if err := json.NewDecoder(src).Decode(&actions); err != nil {
 		return fmt.Errorf("decoding actions: %w", err)
 	}
-	opts := []legal.EngineOption{legal.WithRulingCache(0)}
-	if stats {
-		opts = append(opts, legal.WithEngineStats())
-	}
-	engine := legal.NewEngine(opts...)
+	engine := newEngine(stats)
 	rulings, err := engine.EvaluateBatch(context.Background(), actions)
 	if err != nil {
 		return err
@@ -187,11 +185,7 @@ func runDeltas(path string, stats bool) error {
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 
-	opts := []legal.EngineOption{legal.WithRulingCache(0)}
-	if stats {
-		opts = append(opts, legal.WithEngineStats())
-	}
-	engine := legal.NewEngine(opts...)
+	engine := newEngine(stats)
 
 	var (
 		ruling  legal.Ruling

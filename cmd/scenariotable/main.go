@@ -23,7 +23,7 @@ import (
 func main() {
 	verbose := flag.Bool("verbose", false, "print rationale chains and citations")
 	asJSON := flag.Bool("json", false, "emit the report as JSON")
-	stats := flag.Bool("engine-stats", false, "print engine cache/dispatch counters to stderr when done")
+	stats := flag.Bool("engine-stats", false, "print engine dispatch counters to stderr when done")
 	flag.Parse()
 	if err := run(*verbose, *asJSON, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "scenariotable:", err)
@@ -32,7 +32,7 @@ func main() {
 }
 
 func run(verbose, asJSON, stats bool) error {
-	opts := []legal.EngineOption{legal.WithRulingCache(0)}
+	var opts []legal.EngineOption
 	if stats {
 		opts = append(opts, legal.WithEngineStats())
 	}
@@ -41,8 +41,8 @@ func run(verbose, asJSON, stats bool) error {
 		if stats {
 			s := engine.Stats()
 			fmt.Fprintf(os.Stderr,
-				"engine stats: %d evaluations (+%d deduped), cache %d hits / %d misses, %d rules scanned (table %d)\n",
-				s.Evaluations, s.BatchDeduped, s.CacheHits, s.CacheMisses, s.RulesScanned, s.RuleTableSize)
+				"engine stats: %d evaluations, %d rules scanned (table %d)\n",
+				s.Evaluations, s.RulesScanned, s.RuleTableSize)
 		}
 	}()
 	if asJSON {

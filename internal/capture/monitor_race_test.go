@@ -27,7 +27,7 @@ func TestMonitorConcurrentApplyAndRead(t *testing.T) {
 	escalated.Data = legal.DataContent
 
 	led := ledger.New()
-	engine := legal.NewEngine(legal.WithRulingCache(0))
+	engine := legal.NewEngine()
 	m, err := NewMonitor(engine, base, WithAuditLedger(led, "op-race", "dev-race"))
 	if err != nil {
 		t.Fatal(err)

@@ -59,18 +59,14 @@ func WithStrictAcquisition() CaseOption {
 	return func(c *Case) { c.strict = true }
 }
 
-// NewCase opens an investigation. The case's engine carries a ruling
-// cache: investigations routinely re-evaluate the same action shape (a
-// pre-flight Evaluate, then the Acquire itself, then suppression
-// analysis), and rulings are immutable, so memoization is sound. The
-// engine also collects counters (see EngineStats) — case flows are far
-// from the evaluation hot path, so the one atomic update per
-// evaluation is free observability.
+// NewCase opens an investigation. The case's engine collects counters
+// (see EngineStats) — case flows are far from the evaluation hot path,
+// so the atomic updates per evaluation are free observability.
 func NewCase(name string, opts ...CaseOption) *Case {
 	c := &Case{
 		Name:   name,
 		clock:  time.Now,
-		engine: legal.NewEngine(legal.WithRulingCache(0), legal.WithEngineStats()),
+		engine: legal.NewEngine(legal.WithEngineStats()),
 	}
 	for _, opt := range opts {
 		opt(c)

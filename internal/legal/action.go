@@ -1,6 +1,9 @@
 package legal
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Actor classifies who performs an acquisition. The Fourth Amendment binds
 // the government and those acting as its agents or at its instigation; a
@@ -547,4 +550,95 @@ func (a *Action) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Fingerprint returns a canonical, collision-free encoding of every field
+// that influences evaluation (which is all of them, including Name, since
+// the ruling echoes the action). Two actions with equal fingerprints are
+// identical, so the fingerprint is a sound durable key or transcript
+// entry for an action (capture.Monitor logs each event with it).
+func (a *Action) Fingerprint() string {
+	var buf [96]byte
+	return string(a.AppendFingerprint(buf[:0]))
+}
+
+// fpInt appends v in decimal with a field separator. Enum values are
+// almost always a single digit; the general path handles the rest.
+func fpInt(buf []byte, v int) []byte {
+	if v >= 0 && v < 10 {
+		return append(buf, byte('0'+v), '|')
+	}
+	buf = strconv.AppendInt(buf, int64(v), 10)
+	return append(buf, '|')
+}
+
+// fpBool appends a bool flag with a field separator.
+func fpBool(buf []byte, v bool) []byte {
+	if v {
+		return append(buf, '1', '|')
+	}
+	return append(buf, '0', '|')
+}
+
+// AppendFingerprint appends the canonical encoding to buf and returns
+// the extended slice. Callers that fingerprint a stream of actions
+// (capture monitors, evidence lockers) reuse one
+// buffer across events instead of allocating a string per call; the
+// bytes appended are exactly Fingerprint's.
+func (a *Action) AppendFingerprint(buf []byte) []byte {
+	buf = fpInt(buf, int(a.Actor))
+	buf = fpInt(buf, int(a.Timing))
+	buf = fpInt(buf, int(a.Data))
+	buf = fpInt(buf, int(a.Source))
+	buf = fpBool(buf, a.Encrypted)
+	buf = append(buf, '[')
+	for _, e := range a.Exposure {
+		buf = fpInt(buf, int(e))
+	}
+	buf = append(buf, ']')
+	if c := a.Consent; c != nil {
+		buf = append(buf, 'C', '{')
+		buf = fpInt(buf, int(c.Scope))
+		buf = fpBool(buf, c.Revoked)
+		buf = fpBool(buf, c.ExceedsScope)
+		buf = fpBool(buf, c.AllPartiesRequired)
+		buf = append(buf, '}')
+	} else {
+		buf = append(buf, 'C', '-')
+	}
+	if x := a.Exigency; x != nil {
+		buf = append(buf, 'X', '{')
+		buf = fpInt(buf, int(x.Kind))
+		buf = fpBool(buf, x.Approved)
+		buf = append(buf, '}')
+	} else {
+		buf = append(buf, 'X', '-')
+	}
+	buf = fpBool(buf, a.PlainView)
+	buf = fpBool(buf, a.LawfulVantage)
+	buf = fpBool(buf, a.ProbationSearch)
+	if t := a.Tech; t != nil {
+		buf = append(buf, 'T', '{')
+		buf = fpBool(buf, t.GeneralPublicUse)
+		buf = fpBool(buf, t.RevealsHomeInterior)
+		buf = append(buf, '}')
+	} else {
+		buf = append(buf, 'T', '-')
+	}
+	if w := a.Workplace; w != nil {
+		buf = append(buf, 'W', '{')
+		buf = fpBool(buf, w.GovernmentEmployer)
+		buf = fpBool(buf, w.WorkRelated)
+		buf = fpBool(buf, w.JustifiedAtInception)
+		buf = fpBool(buf, w.PermissibleScope)
+		buf = append(buf, '}')
+	} else {
+		buf = append(buf, 'W', '-')
+	}
+	buf = fpInt(buf, int(a.ProviderRole))
+	buf = fpBool(buf, a.ProviderPublic)
+	buf = fpBool(buf, a.InterceptsThirdParty)
+	buf = fpBool(buf, a.SearchBeyondAuthority)
+	buf = append(buf, a.Name...)
+	return buf
 }

@@ -1,6 +1,7 @@
 package legal
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -286,5 +287,68 @@ func TestCite(t *testing.T) {
 		if Cite(id).Title == id {
 			t.Errorf("citation %q has no expanded title", id)
 		}
+	}
+}
+
+// TestFingerprintDistinguishesActions: any two distinct sweep actions must
+// have distinct fingerprints — a collision would silently serve the wrong
+// ruling.
+func TestFingerprintDistinguishesActions(t *testing.T) {
+	seen := make(map[string]Action)
+	for _, a := range sweepActions() {
+		a := a
+		fp := a.Fingerprint()
+		if prev, ok := seen[fp]; ok && !reflect.DeepEqual(prev, a) {
+			t.Fatalf("fingerprint collision:\n  %+v\n  %+v", prev, a)
+		}
+		seen[fp] = a
+	}
+
+	// Pointer sub-structures must be encoded by value, not identity.
+	base := Action{
+		Name: "fp", Actor: ActorGovernment, Timing: TimingStored,
+		Data: DataDeviceContents, Source: SourceTargetDevice,
+	}
+	variants := []Action{base}
+	withConsent := base
+	withConsent.Consent = &Consent{Scope: ConsentOwnData}
+	withRevoked := base
+	withRevoked.Consent = &Consent{Scope: ConsentOwnData, Revoked: true}
+	withTech := base
+	withTech.Tech = &SpecializedTech{RevealsHomeInterior: true}
+	withWorkplace := base
+	withWorkplace.Workplace = &WorkplaceSearch{GovernmentEmployer: true}
+	withExigency := base
+	withExigency.Exigency = &Exigency{Kind: ExigencyDanger}
+	withExposure := base
+	withExposure.Exposure = []ExposureFact{ExposureAbandoned}
+	withName := base
+	withName.Name = "fp2"
+	variants = append(variants, withConsent, withRevoked, withTech,
+		withWorkplace, withExigency, withExposure, withName)
+	fps := make(map[string]bool)
+	for _, v := range variants {
+		fp := v.Fingerprint()
+		if fps[fp] {
+			t.Fatalf("variant fingerprint collision: %q", fp)
+		}
+		fps[fp] = true
+	}
+}
+
+// TestFingerprintStable: equal actions (including deep-equal pointer
+// fields at different addresses) share a fingerprint.
+func TestFingerprintStable(t *testing.T) {
+	a := Action{
+		Name: "stable", Actor: ActorGovernment, Timing: TimingRealTime,
+		Data: DataContent, Source: SourceVictimSystem,
+		Consent:  &Consent{Scope: ConsentVictimTrespasser},
+		Exposure: []ExposureFact{ExposureDelivered},
+	}
+	b := a
+	b.Consent = &Consent{Scope: ConsentVictimTrespasser}
+	b.Exposure = []ExposureFact{ExposureDelivered}
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Error("deep-equal actions produced different fingerprints")
 	}
 }

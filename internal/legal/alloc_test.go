@@ -1,22 +1,32 @@
-// Allocation-regression guards for the evaluation hot path. The
-// zero-allocation warm-cache Evaluate is a measured performance win
-// (see BENCH_legal.json); these tests pin it so a later refactor cannot
-// silently rot it back, the way internal/netsim/alloc_test.go pins the
-// simulator's event slab.
+// Allocation and memory-bound regression guards for the evaluation hot
+// path. Zero-allocation Evaluate is what interning ruling shapes buys
+// (see shapes.go and BENCH_legal.json); these tests pin it, and pin the
+// shape table's size, so a later refactor cannot silently rot either
+// back, the way internal/netsim/alloc_test.go pins the simulator's
+// event slab.
 package legal_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"lawgate/internal/legal"
 )
 
-// warmedEngine returns a cached engine with every given action already
-// memoized.
+// skipUnderRace skips allocation guards when the race detector is on.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector drops pooled evaluation scratch; allocation counts are meaningless")
+	}
+}
+
+// warmedEngine returns an engine whose shape table already holds the
+// shape of every given action.
 func warmedEngine(t testing.TB, actions []legal.Action) *legal.Engine {
 	t.Helper()
-	e := legal.NewEngine(legal.WithRulingCache(len(actions)))
+	e := legal.NewEngine()
 	for _, a := range actions {
 		if _, err := e.Evaluate(a); err != nil {
 			t.Fatal(err)
@@ -25,11 +35,33 @@ func warmedEngine(t testing.TB, actions []legal.Action) *legal.Engine {
 	return e
 }
 
-// TestEvaluateWarmZeroAlloc pins the cache-hit Evaluate to exactly zero
-// allocations: the lookup hashes the action field-wise (no fingerprint
-// string), probes the lock-free table, verifies structurally, and
-// returns the memoized ruling.
+// TestEvaluateColdZeroAlloc pins cold Evaluate — every action new to
+// the engine, as on a serving path with unique names — to zero
+// allocations on the Table 1 actions: the walk runs in pooled scratch
+// and the ruling's slices come from the interned shape.
+func TestEvaluateColdZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
+	table := table1Actions()
+	e := warmedEngine(t, table)
+	const runs = 1000
+	actions := distinctActions(runs + 1) // AllocsPerRun adds a warm-up call
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := e.Evaluate(actions[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("cold Evaluate allocs/op = %v, want 0", allocs)
+	}
+}
+
+// TestEvaluateWarmZeroAlloc pins repeated evaluation of the same
+// actions — exposure, consent and seized-device shapes — to zero
+// allocations.
 func TestEvaluateWarmZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
 	actions := []legal.Action{
 		{
 			Name:   "warm-alloc-stored",
@@ -64,18 +96,16 @@ func TestEvaluateWarmZeroAlloc(t *testing.T) {
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("warm-cache Evaluate allocs/op = %v, want 0", allocs)
+		t.Errorf("warm Evaluate allocs/op = %v, want 0", allocs)
 	}
 }
 
-// TestEvaluateDeltaZeroAlloc pins both delta fast paths to zero
-// allocations on a warm engine: the dispatch-bitset short-circuit (a
-// scalar-field delta the action's bucket provably never reads) and the
-// incremental-cache-key slow path (a dimension delta whose target is
-// already memoized). A regression on the short-circuit also surfaces
-// here as allocations, because the fallback would miss the cache and
-// evaluate in full.
+// TestEvaluateDeltaZeroAlloc pins both delta paths to zero
+// allocations: the dispatch-bitset short-circuit (a scalar-field delta
+// the action's bucket provably never reads) and the full re-evaluation
+// of a dimension delta whose shape the engine has seen.
 func TestEvaluateDeltaZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
 	base := legal.Action{
 		Name:   "delta-alloc",
 		Actor:  legal.ActorGovernment,
@@ -108,16 +138,17 @@ func TestEvaluateDeltaZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm-cache EvaluateDelta allocs/op = %v, want 0", allocs)
+		t.Errorf("re-evaluating EvaluateDelta allocs/op = %v, want 0", allocs)
 	}
 }
 
-// TestEvaluateBatchWarmAllocs pins the warm batch path: with every
-// action memoized and a single worker (no goroutine spawning), the only
-// allocations EvaluateBatch may make are the result slices and the
-// dedup bookkeeping — the per-action evaluations themselves ride the
-// cache and the per-worker scratch.
+// TestEvaluateBatchWarmAllocs pins the batch path once the shape table
+// is warm: with a single worker (no goroutine spawning), the only
+// allocations EvaluateBatch may make are its two result slices — the
+// per-action evaluations ride the worker's pooled scratch and the
+// interned shapes.
 func TestEvaluateBatchWarmAllocs(t *testing.T) {
+	skipUnderRace(t)
 	actions := make([]legal.Action, 16)
 	for i := range actions {
 		actions[i] = legal.Action{
@@ -128,7 +159,7 @@ func TestEvaluateBatchWarmAllocs(t *testing.T) {
 			Source: legal.SourceSeizedDevice,
 		}
 	}
-	e := legal.NewEngine(legal.WithRulingCache(len(actions)), legal.WithBatchWorkers(1))
+	e := legal.NewEngine(legal.WithBatchWorkers(1))
 	ctx := context.Background()
 	if _, err := e.EvaluateBatch(ctx, actions); err != nil {
 		t.Fatal(err)
@@ -138,12 +169,30 @@ func TestEvaluateBatchWarmAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// rulings + errs + work + the dedup/chain maps and their internals
-	// (these actions share six shapes, so the chain pre-pass also
-	// builds its shape table); the bound is loose on purpose — the
-	// guard is against per-action regressions, which would add
-	// ~len(actions) allocations per extra word.
-	if allocs > 20 {
-		t.Errorf("warm single-worker EvaluateBatch allocs/op = %v, want <= 20", allocs)
+	if allocs > 2 {
+		t.Errorf("warm single-worker EvaluateBatch allocs/op = %v, want <= 2 (rulings + errs)", allocs)
+	}
+}
+
+// TestShapeTableBoundedByDistinctNames: the shape table's size depends
+// on the rule table, not on the action stream — ruling 1<<16 distinct
+// names over the Table 1 shapes leaves it exactly as large as the
+// Table 1 actions alone make it.
+func TestShapeTableBoundedByDistinctNames(t *testing.T) {
+	e := warmedEngine(t, table1Actions())
+	want := legal.ShapeCount(e)
+	if want == 0 {
+		t.Fatal("Table 1 interned no shapes")
+	}
+	a := table1Actions()
+	for i := 0; i < 1<<16; i++ {
+		act := a[i%len(a)]
+		act.Name = fmt.Sprint("distinct-", i)
+		if _, err := e.Evaluate(act); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := legal.ShapeCount(e); got != want {
+		t.Fatalf("shape table grew from %d to %d over 1<<16 distinct names", want, got)
 	}
 }

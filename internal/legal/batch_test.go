@@ -40,31 +40,27 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchWithCacheMatchesSequential: batch + cache together — a
-// cache-enabled engine under concurrent batch load must still reproduce
-// the sequential rulings (this is also the race-detector workout for the
-// sharded cache).
+// TestEvaluateBatchWithCacheMatchesSequential: batch + shape table
+// together — a fresh engine whose workers intern shapes concurrently,
+// with every action repeated so slots hit shapes other workers are
+// inserting, must still reproduce the reference rulings (this is also
+// the race-detector workout for the shape table under batch load).
 func TestEvaluateBatchWithCacheMatchesSequential(t *testing.T) {
 	actions := sweepActions()
-	// Duplicate the set so cache hits occur mid-batch.
 	actions = append(actions, actions...)
-	plain := NewEngine()
-	cached := NewEngine(WithRulingCache(0))
-	got, err := cached.EvaluateBatch(context.Background(), actions)
+	e := NewEngine(WithBatchWorkers(4))
+	got, err := e.EvaluateBatch(context.Background(), actions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range actions {
-		want, err := plain.Evaluate(a)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := linearRuling(e, a)
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("cached batch ruling %d diverged:\n got %+v\nwant %+v", i, got[i], want)
+			t.Fatalf("batch ruling %d diverged:\n got %+v\nwant %+v", i, got[i], want)
 		}
 	}
-	if n := cached.CacheSize(); n == 0 || n > len(actions)/2 {
-		t.Errorf("cache size %d outside (0, %d]", n, len(actions)/2)
+	if n := e.shapes.len(); n == 0 || n > len(actions)/2 {
+		t.Errorf("shape table holds %d shapes, want within (0, %d]", n, len(actions)/2)
 	}
 }
 

@@ -1,8 +1,7 @@
 // The rulings/sec throughput suite: how fast the engine serves ruling
-// queries on the paths production consumers hit — a cold evaluation
-// (full rule-table consultation), a warm one (ruling-cache hit), and
-// the concurrent batch API across worker counts, with and without
-// duplicate actions. scripts/bench.sh's `legal` target runs this family
+// queries on the paths production consumers hit — a single Evaluate
+// (dispatch walk plus shape-table lookup) and the concurrent batch API
+// across worker counts. scripts/bench.sh's `legal` target runs this family
 // and writes the median numbers to BENCH_legal.json next to the
 // embedded before-baseline (scripts/bench_baseline_legal.json).
 //
@@ -32,11 +31,8 @@ func table1Actions() []legal.Action {
 }
 
 // distinctActions builds n unique-fingerprint actions by cycling the
-// Table 1 shapes under fresh names. Exact dedup cannot collapse them;
-// since PR 6 the batch delta-chain pre-pass does factor the repeated
-// shapes into base+delta chains, so the batch rows now measure the
-// near-duplicate compression most corpora exhibit (BENCH_legal.json's
-// note marks the capture points).
+// Table 1 shapes under fresh names — the serving mix, where no two
+// requests share an action but their rulings share a few shapes.
 func distinctActions(n int) []legal.Action {
 	base := table1Actions()
 	actions := make([]legal.Action, n)
@@ -48,43 +44,15 @@ func distinctActions(n int) []legal.Action {
 	return actions
 }
 
-// duplicatedActions builds n actions drawn from only k distinct values,
-// the shape of a batch where most queries repeat (a corpus re-scan).
-func duplicatedActions(n, k int) []legal.Action {
-	uniq := distinctActions(k)
-	actions := make([]legal.Action, n)
-	for i := range actions {
-		actions[i] = uniq[i%k]
-	}
-	return actions
-}
-
 // BenchmarkRulingsPerSec is the engine throughput family the tracked
 // BENCH_legal.json baseline records.
 func BenchmarkRulingsPerSec(b *testing.B) {
 	actions := table1Actions()
 
-	// cold: every query consults the rule table (no cache configured).
+	// cold: every query walks its dispatch bucket; its ruling's slices
+	// come from the interned shape.
 	b.Run("cold", func(b *testing.B) {
 		engine := legal.NewEngine()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Evaluate(actions[i%len(actions)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rulings/s")
-	})
-
-	// warm: the ruling cache already holds every query.
-	b.Run("warm", func(b *testing.B) {
-		engine := legal.NewEngine(legal.WithRulingCache(0))
-		for _, a := range actions {
-			if _, err := engine.Evaluate(a); err != nil {
-				b.Fatal(err)
-			}
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -114,21 +82,6 @@ func BenchmarkRulingsPerSec(b *testing.B) {
 		})
 	}
 
-	// batch-dup: the same batch size but only 64 distinct actions —
-	// the within-batch deduplication workload.
-	dup := duplicatedActions(batchSize, 64)
-	b.Run("batch-dup", func(b *testing.B) {
-		engine := legal.NewEngine(legal.WithBatchWorkers(4))
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.EvaluateBatch(ctx, dup); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "rulings/s")
-	})
 }
 
 // BenchmarkEvaluateDelta measures incremental re-evaluation after a
@@ -136,8 +89,7 @@ func BenchmarkRulingsPerSec(b *testing.B) {
 // the pre-delta cost of the same event (mutate the action, run a full
 // Evaluate); delta/scalar2 is the dispatch-bitset short-circuit for a
 // two-flag delta (the ci.sh ≥3x gate); delta/dim1 is a dimension
-// escalation resolved through the incremental cache key on a warm
-// engine.
+// escalation, re-evaluated in full.
 func BenchmarkEvaluateDelta(b *testing.B) {
 	base := legal.Action{
 		Name:   "delta-bench",
@@ -187,7 +139,7 @@ func BenchmarkEvaluateDelta(b *testing.B) {
 	b.Run("delta/dim1", func(b *testing.B) {
 		escalated := base
 		escalated.Data = legal.DataContent
-		engine := legal.NewEngine(legal.WithRulingCache(0))
+		engine := legal.NewEngine()
 		prev, err := engine.Evaluate(base)
 		if err != nil {
 			b.Fatal(err)
@@ -205,52 +157,4 @@ func BenchmarkEvaluateDelta(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rulings/s")
 	})
-}
-
-// chainActions builds n actions over `shapes` distinct scalar shapes
-// (the Table 1 bases × Encrypted/ProviderPublic toggles) under fresh
-// names — the near-duplicate workload the batch delta-chain pre-pass
-// compresses to one evaluation per shape.
-func chainActions(n, shapes int) []legal.Action {
-	base := table1Actions()
-	shaped := make([]legal.Action, shapes)
-	for j := range shaped {
-		a := base[j%len(base)]
-		if (j/len(base))&1 != 0 {
-			a.Encrypted = !a.Encrypted
-		}
-		if (j/len(base))&2 != 0 {
-			a.ProviderPublic = !a.ProviderPublic
-		}
-		shaped[j] = a
-	}
-	actions := make([]legal.Action, n)
-	for i := range actions {
-		actions[i] = shaped[i%shapes]
-		actions[i].Name = fmt.Sprintf("chain-%d", i)
-	}
-	return actions
-}
-
-// BenchmarkBatchDeltaChain measures EvaluateBatch on the near-duplicate
-// batch (4096 actions, 64 shapes). The tracked baseline rows were
-// captured before the chain pre-pass existed, when every slot paid a
-// full evaluation.
-func BenchmarkBatchDeltaChain(b *testing.B) {
-	const batchSize = 4096
-	actions := chainActions(batchSize, 64)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			engine := legal.NewEngine(legal.WithBatchWorkers(workers))
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.EvaluateBatch(ctx, actions); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "rulings/s")
-		})
-	}
 }

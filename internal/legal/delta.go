@@ -3,6 +3,7 @@ package legal
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -13,10 +14,8 @@ import (
 // evolving acquisition as a base Action plus a stream of small typed
 // mutations rather than re-materializing a full Action per event. An
 // ActionDelta carries each mutation with both its old and new value, so
-// it can be applied, un-applied, canonically encoded for audit trails,
-// and — because every scalar field has fixed bit positions in the
-// packed word (packAction) — folded into the engine's cache key in
-// O(changed fields). Engine.EvaluateDelta consumes deltas directly and
+// it can be applied, un-applied and canonically encoded for audit
+// trails. Engine.EvaluateDelta consumes deltas directly and
 // proves, via the dispatch index's per-bucket field-sensitivity
 // bitsets, when the prior ruling necessarily still holds.
 
@@ -203,7 +202,7 @@ func (d *ActionDelta) SetProviderRole(old, new ProviderRole) *ActionDelta {
 // FieldProbationSearch, FieldProviderPublic, FieldInterceptsThirdParty,
 // FieldSearchBeyondAuthority).
 func (d *ActionDelta) SetFlag(f Field, old, new bool) *ActionDelta {
-	d.Fields = append(d.Fields, FieldDelta{Field: f, Old: int64(b2u(old)), New: int64(b2u(new))})
+	d.Fields = append(d.Fields, FieldDelta{Field: f, Old: flagValue(old), New: flagValue(new)})
 	return d
 }
 
@@ -264,7 +263,7 @@ func Diff(old, new *Action) ActionDelta {
 	if old.Encrypted != new.Encrypted {
 		d.SetFlag(FieldEncrypted, old.Encrypted, new.Encrypted)
 	}
-	if !exposuresEqual(old.Exposure, new.Exposure) {
+	if !slices.Equal(old.Exposure, new.Exposure) {
 		d.SetExposure(old.Exposure, new.Exposure)
 	}
 	if (old.Consent == nil) != (new.Consent == nil) ||
@@ -309,7 +308,7 @@ func Diff(old, new *Action) ActionDelta {
 
 // apply sets one side of the mutation on a: the new value when fwd,
 // the old value otherwise. Mutations naming an unknown field are
-// ignored (Apply, mask, and the packed-word update all agree on that,
+// ignored (Apply and mask agree on that,
 // which keeps EvaluateDelta equivalent to Evaluate on the rebuilt
 // action even for malformed deltas).
 func (fd *FieldDelta) apply(a *Action, fwd bool) {
@@ -473,109 +472,12 @@ func (d *ActionDelta) changedInRange() bool {
 	return true
 }
 
-// Packed-word field masks, mirroring packAction's fixed bit layout
-// (cache.go). TestUpdatePackedMatchesPackAction pins the mirror: for
-// any valid action and delta, updating the packed word field-wise must
-// equal re-packing the mutated action from scratch.
-const (
-	pwActorMask     = uint64(7)
-	pwTimingMask    = uint64(3) << 3
-	pwDataMask      = uint64(7) << 5
-	pwSourceMask    = uint64(15) << 8
-	pwProviderMask  = uint64(15) << 12
-	pwConsentMask   = uint64(0xff) << 23 // presence + scope + 3 flags
-	pwExigencyMask  = uint64(0x1f) << 31 // presence + kind + approved
-	pwTechMask      = uint64(7) << 36    // presence + 2 flags
-	pwWorkplaceMask = uint64(0x1f) << 39 // presence + 4 flags
-)
-
-// updatePacked folds the delta into an exact packed scalar word in
-// O(changed fields), returning the updated word and whether it remains
-// exact. It returns ok=false when a new value overflows its allotted
-// bits — the caller then re-packs from scratch, which yields the same
-// wInexact verdict packAction would. Name and Exposure changes leave
-// the word untouched (they are not packed).
-func (d *ActionDelta) updatePacked(w uint64) (uint64, bool) {
-	for i := range d.Fields {
-		fd := &d.Fields[i]
-		switch fd.Field {
-		case FieldActor:
-			if uint64(fd.New)&^7 != 0 {
-				return 0, false
-			}
-			w = w&^pwActorMask | uint64(fd.New)&7
-		case FieldTiming:
-			if uint64(fd.New)&^3 != 0 {
-				return 0, false
-			}
-			w = w&^pwTimingMask | uint64(fd.New)&3<<3
-		case FieldData:
-			if uint64(fd.New)&^7 != 0 {
-				return 0, false
-			}
-			w = w&^pwDataMask | uint64(fd.New)&7<<5
-		case FieldSource:
-			if uint64(fd.New)&^15 != 0 {
-				return 0, false
-			}
-			w = w&^pwSourceMask | uint64(fd.New)&15<<8
-		case FieldProviderRole:
-			if uint64(fd.New)&^15 != 0 {
-				return 0, false
-			}
-			w = w&^pwProviderMask | uint64(fd.New)&15<<12
-		case FieldEncrypted:
-			w = w&^(uint64(1)<<16) | b2u(fd.New != 0)<<16
-		case FieldPlainView:
-			w = w&^(uint64(1)<<17) | b2u(fd.New != 0)<<17
-		case FieldLawfulVantage:
-			w = w&^(uint64(1)<<18) | b2u(fd.New != 0)<<18
-		case FieldProbationSearch:
-			w = w&^(uint64(1)<<19) | b2u(fd.New != 0)<<19
-		case FieldProviderPublic:
-			w = w&^(uint64(1)<<20) | b2u(fd.New != 0)<<20
-		case FieldInterceptsThirdParty:
-			w = w&^(uint64(1)<<21) | b2u(fd.New != 0)<<21
-		case FieldSearchBeyondAuthority:
-			w = w&^(uint64(1)<<22) | b2u(fd.New != 0)<<22
-		case FieldConsent:
-			w &^= pwConsentMask
-			if c := fd.NewConsent; c != nil {
-				if uint64(c.Scope)&^15 != 0 {
-					return 0, false
-				}
-				w |= 1<<23 | uint64(c.Scope)&15<<24 |
-					b2u(c.Revoked)<<28 |
-					b2u(c.ExceedsScope)<<29 |
-					b2u(c.AllPartiesRequired)<<30
-			}
-		case FieldExigency:
-			w &^= pwExigencyMask
-			if x := fd.NewExigency; x != nil {
-				if uint64(x.Kind)&^7 != 0 {
-					return 0, false
-				}
-				w |= 1<<31 | uint64(x.Kind)&7<<32 | b2u(x.Approved)<<35
-			}
-		case FieldTech:
-			w &^= pwTechMask
-			if t := fd.NewTech; t != nil {
-				w |= 1<<36 |
-					b2u(t.GeneralPublicUse)<<37 |
-					b2u(t.RevealsHomeInterior)<<38
-			}
-		case FieldWorkplace:
-			w &^= pwWorkplaceMask
-			if wp := fd.NewWorkplace; wp != nil {
-				w |= 1<<39 |
-					b2u(wp.GovernmentEmployer)<<40 |
-					b2u(wp.WorkRelated)<<41 |
-					b2u(wp.JustifiedAtInception)<<42 |
-					b2u(wp.PermissibleScope)<<43
-			}
-		}
+// flagValue encodes a boolean field value as FieldDelta stores it.
+func flagValue(b bool) int64 {
+	if b {
+		return 1
 	}
-	return w, true
+	return 0
 }
 
 // AppendEncoding appends the delta's canonical text encoding to buf and

@@ -87,13 +87,13 @@ var deltaMuts = []struct {
 // across all 432 dispatch combos × the standard variant spread × every
 // delta mutation, under both container doctrines, EvaluateDelta must
 // return exactly what a fresh full Evaluate of the rebuilt action
-// returns — rulings deeply equal (packed-word state included), errors
+// returns — rulings deeply equal (validation flag included), errors
 // identical. It also asserts the bitset proof actually fires (some
 // deltas short-circuit) without being vacuous (some take the full
 // path).
 func TestDeltaMatchesFullEvaluate(t *testing.T) {
 	for _, doctrine := range []ContainerDoctrine{ContainerPerFile, ContainerSingle} {
-		e := NewEngine(WithContainerDoctrine(doctrine), WithRulingCache(0), WithEngineStats())
+		e := NewEngine(WithContainerDoctrine(doctrine), WithEngineStats())
 		ref := NewEngine(WithContainerDoctrine(doctrine))
 		checked := 0
 		forEachCombo(func(ac Actor, tm Timing, dc DataClass, s Source) {
@@ -175,42 +175,11 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUpdatePackedMatchesPackAction pins the incremental packed-word
-// update to the from-scratch packing: for every base × mutation,
-// folding the delta into the base's word must agree with packAction on
-// the mutated action — same word when the mutation stays in range, and
-// a rejected update exactly when packAction would go inexact.
-func TestUpdatePackedMatchesPackAction(t *testing.T) {
-	forEachCombo(func(ac Actor, tm Timing, dc DataClass, s Source) {
-		base := Action{Name: "pack-delta", Actor: ac, Timing: tm, Data: dc, Source: s}
-		for _, v := range variantsOf(base) {
-			w0, exact := packAction(&v)
-			if !exact {
-				t.Fatalf("valid base packed inexactly: %+v", v)
-			}
-			for _, m := range deltaMuts {
-				target := v
-				m.mut(&target)
-				d := Diff(&v, &target)
-				want, wantExact := packAction(&target)
-				got, ok := d.updatePacked(w0)
-				if ok != wantExact {
-					t.Fatalf("mutation %q: updatePacked ok=%v but packAction exact=%v (base %+v)", m.name, ok, wantExact, v)
-				}
-				if ok && got != want {
-					t.Fatalf("mutation %q: incremental word %#x != repacked word %#x (base %+v)", m.name, got, want, v)
-				}
-			}
-		}
-	})
-}
-
-// TestBatchDeltaChainWorkersIdentity is the satellite byte-identity
-// test for the delta-compressed batch path: a batch of same-shape,
-// differently named actions must produce rulings identical to
-// per-action evaluation on a chain-free reference engine, at one, four,
-// and NumCPU workers, with the chain counter accounting for every
-// coalesced slot.
+// TestBatchDeltaChainWorkersIdentity pins batch byte-identity on a
+// near-duplicate batch — same-shape actions that differ only by name,
+// so every slot shares an interned shape: EvaluateBatch must return
+// rulings identical to per-action evaluation at one, four, and NumCPU
+// workers, with every slot echoing its own action.
 func TestBatchDeltaChainWorkersIdentity(t *testing.T) {
 	const n, shapes = 512, 16
 	shaped := make([]Action, shapes)
@@ -248,7 +217,7 @@ func TestBatchDeltaChainWorkersIdentity(t *testing.T) {
 
 	ctx := context.Background()
 	for _, workers := range []int{1, 4, runtime.NumCPU()} {
-		e := NewEngine(WithBatchWorkers(workers), WithEngineStats())
+		e := NewEngine(WithBatchWorkers(workers))
 		got, err := e.EvaluateBatch(ctx, actions)
 		if err != nil {
 			t.Fatal(err)
@@ -259,24 +228,15 @@ func TestBatchDeltaChainWorkersIdentity(t *testing.T) {
 					workers, i, got[i], want[i])
 			}
 		}
-		s := e.Stats()
-		if s.BatchDeltaChained != n-shapes {
-			t.Fatalf("workers=%d: BatchDeltaChained = %d, want %d", workers, s.BatchDeltaChained, n-shapes)
-		}
-		if s.Evaluations != shapes {
-			t.Fatalf("workers=%d: Evaluations = %d, want %d (one per shape)", workers, s.Evaluations, shapes)
-		}
 	}
 }
 
-// TestBatchChainBaseErrorFallsBack pins the chain pre-pass's error
-// path: when the chain base fails validation, the chained slots must be
-// evaluated individually so each error names its own action, never the
-// base's.
+// TestBatchChainBaseErrorFallsBack pins per-slot error attribution for
+// same-shape invalid actions: each slot must report its own error,
+// naming its own action, never a neighbour's.
 func TestBatchChainBaseErrorFallsBack(t *testing.T) {
 	// Same shape, different names; both invalid (out-of-range consent
-	// scope packs exactly but fails Validate — dims stay in range so
-	// the shape is chainable if nothing intervenes).
+	// scope, in-range dimensions).
 	bad := Action{
 		Name:    "bad-base",
 		Actor:   ActorGovernment,
@@ -303,8 +263,8 @@ func TestBatchChainBaseErrorFallsBack(t *testing.T) {
 // TestDeltaUnannotatedRulesForceReEvaluation pins soundness for rule
 // tables without Reads annotations: an unannotated rule is treated as
 // reading every field (Name included), so EvaluateDelta never
-// short-circuits across it and the batch pre-pass never chains, even
-// when the rule really does depend on Name.
+// short-circuits across it, and a rule that really does depend on Name
+// rules each name on its own in a batch too.
 func TestDeltaUnannotatedRulesForceReEvaluation(t *testing.T) {
 	rules := []Rule{
 		{
@@ -348,9 +308,6 @@ func TestDeltaUnannotatedRulesForceReEvaluation(t *testing.T) {
 	}
 	if rulings[0].Required != ProcessNone || rulings[1].Required != ProcessSearchWarrant {
 		t.Fatalf("batch rulings %v/%v, want ProcessNone/ProcessSearchWarrant", rulings[0].Required, rulings[1].Required)
-	}
-	if s := e.Stats(); s.BatchDeltaChained != 0 {
-		t.Fatalf("chained %d slots across unannotated rules", s.BatchDeltaChained)
 	}
 }
 

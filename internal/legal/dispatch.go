@@ -211,15 +211,16 @@ func forEachCombo(f func(Actor, Timing, DataClass, Source)) {
 	}
 }
 
-// evalScratch is per-worker reusable evaluation state: the RuleContext
-// and a scratch Ruling whose slice capacity survives across
-// evaluations, so batch workers stop paying append-growth allocations
-// on every action. Evaluation results are copied out of the scratch
-// (compactRuling) before being returned or cached, so the reuse is
+// evalScratch is reusable evaluation state: the RuleContext, a
+// scratch Ruling and a scratch REP finding whose slice capacity
+// survives across evaluations, so a walk appends into memory it
+// already owns. The shape table copies a new shape out of the scratch
+// (compactShape) before anything is returned, so the reuse is
 // invisible to callers.
 type evalScratch struct {
-	rc RuleContext
-	r  Ruling
+	rc   RuleContext
+	r    Ruling
+	priv PrivacyFinding
 }
 
 // reset prepares the scratch for evaluating a, truncating the reusable
@@ -233,35 +234,7 @@ func (sc *evalScratch) reset(e *Engine, a Action) {
 	sc.r.Rationale = sc.r.Rationale[:0]
 	sc.r.Citations = sc.r.Citations[:0]
 	sc.r.Applied = sc.r.Applied[:0]
-	sc.rc = RuleContext{engine: e, Action: &sc.r.Action, ruling: &sc.r}
-}
-
-// compactRuling copies the scratch ruling into exact-size slices that
-// the caller owns. Empty slices become nil, matching what the
-// non-scratch walk produces, so scratch and non-scratch evaluations are
-// DeepEqual.
-func compactRuling(src *Ruling) Ruling {
-	out := Ruling{
-		Action:   src.Action,
-		Required: src.Required,
-		Regime:   src.Regime,
-		Privacy:  src.Privacy,
-		pw:       src.pw,
-		pwExact:  src.pwExact,
-	}
-	if len(src.Exceptions) > 0 {
-		out.Exceptions = append(make([]ExceptionKind, 0, len(src.Exceptions)), src.Exceptions...)
-	}
-	if len(src.Rationale) > 0 {
-		out.Rationale = append(make([]string, 0, len(src.Rationale)), src.Rationale...)
-	}
-	if len(src.Citations) > 0 {
-		out.Citations = append(make([]Citation, 0, len(src.Citations)), src.Citations...)
-	}
-	if len(src.Applied) > 0 {
-		out.Applied = append(make([]string, 0, len(src.Applied)), src.Applied...)
-	}
-	return out
+	sc.rc = RuleContext{engine: e, Action: &sc.r.Action, ruling: &sc.r, privacy: &sc.priv}
 }
 
 // walkRules runs the pipeline over the given rule indices: each rule
@@ -289,38 +262,26 @@ func (e *Engine) walkRules(rc *RuleContext, r *Ruling, idx []uint16) int {
 }
 
 // evaluateDispatch walks only the compiled candidate bucket for the
-// action. With a scratch it reuses the worker's RuleContext and ruling
-// slice capacity and copies the result out; without one it builds the
-// ruling directly.
+// action into the scratch and returns the interned shape under the
+// action.
 func (e *Engine) evaluateDispatch(a Action, sc *evalScratch) Ruling {
-	bucket := e.dispatch.bucketFor(&a)
-	if sc == nil {
-		r := Ruling{Action: a}
-		r.pw, r.pwExact = packAction(&r.Action)
-		rc := &RuleContext{engine: e, Action: &a, ruling: &r}
-		scanned := e.walkRules(rc, &r, bucket)
-		if e.statsOn {
-			e.counters.rulesScanned.Add(uint64(scanned))
-		}
-		return r
-	}
 	sc.reset(e, a)
-	sc.r.pw, sc.r.pwExact = packAction(&sc.r.Action)
-	scanned := e.walkRules(&sc.rc, &sc.r, bucket)
+	scanned := e.walkRules(&sc.rc, &sc.r, e.dispatch.bucketFor(&a))
 	if e.statsOn {
 		e.counters.rulesScanned.Add(uint64(scanned))
 	}
-	return compactRuling(&sc.r)
+	r := *e.shapes.intern(&sc.r)
+	r.Action = a
+	return r
 }
 
 // evaluateLinear is the naive reference walk: the full rule table, in
-// order, with no dispatch index and no scratch reuse. It is the
-// semantics the compiled dispatch must reproduce byte-for-byte; the
-// equivalence tests in dispatch_test.go and FuzzEvaluate hold
-// evaluateDispatch to it.
+// order, with no dispatch index, no scratch reuse and no shape table.
+// It is the semantics the compiled, interned path must reproduce
+// byte-for-byte; the equivalence tests in dispatch_test.go and
+// FuzzEvaluate hold evaluateDispatch to it.
 func (e *Engine) evaluateLinear(a Action) Ruling {
 	r := Ruling{Action: a}
-	r.pw, r.pwExact = packAction(&r.Action)
 	rc := &RuleContext{engine: e, Action: &a, ruling: &r}
 	for i := range e.rules {
 		rule := &e.rules[i]

@@ -57,8 +57,7 @@ func variantsOf(base Action) []Action {
 // TestDispatchMatchesLinearExhaustive proves the compiled dispatch walk
 // byte-identical to the naive full-table scan over the exhaustive enum
 // sweep times a spread of flag/sub-struct variants, under both
-// container doctrines, both with and without the reusable evaluation
-// scratch.
+// container doctrines, through the reused scratch and the shape table.
 func TestDispatchMatchesLinearExhaustive(t *testing.T) {
 	for _, doctrine := range []ContainerDoctrine{ContainerPerFile, ContainerSingle} {
 		e := NewEngine(WithContainerDoctrine(doctrine))
@@ -68,15 +67,10 @@ func TestDispatchMatchesLinearExhaustive(t *testing.T) {
 			base := Action{Name: "sweep", Actor: a, Timing: tm, Data: d, Source: s}
 			for _, v := range variantsOf(base) {
 				want := e.evaluateLinear(v)
-				got := e.evaluateDispatch(v, nil)
+				got := e.evaluateDispatch(v, &sc)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("doctrine %v: dispatch diverged from linear for %+v:\n got %+v\nwant %+v",
 						doctrine, v, got, want)
-				}
-				gotScratch := e.evaluateDispatch(v, &sc)
-				if !reflect.DeepEqual(gotScratch, want) {
-					t.Fatalf("doctrine %v: scratch dispatch diverged from linear for %+v:\n got %+v\nwant %+v",
-						doctrine, v, gotScratch, want)
 				}
 				checked++
 			}
@@ -93,6 +87,7 @@ func TestDispatchMatchesLinearExhaustive(t *testing.T) {
 // table and therefore agree with the linear scan.
 func TestDispatchOutOfRangeFallsBackToFullTable(t *testing.T) {
 	e := NewEngine()
+	var sc evalScratch
 	for _, a := range []Action{
 		{Name: "oob", Actor: Actor(99), Timing: TimingStored, Data: DataContent, Source: SourceOwnNetwork},
 		{Name: "oob", Actor: ActorGovernment, Timing: Timing(-1), Data: DataContent, Source: SourceOwnNetwork},
@@ -100,7 +95,7 @@ func TestDispatchOutOfRangeFallsBackToFullTable(t *testing.T) {
 		if got := e.dispatch.bucketFor(&a); !reflect.DeepEqual(got, e.dispatch.all) {
 			t.Fatalf("out-of-range action %+v did not fall back to the full table", a)
 		}
-		if got, want := e.evaluateDispatch(a, nil), e.evaluateLinear(a); !reflect.DeepEqual(got, want) {
+		if got, want := e.evaluateDispatch(a, &sc), e.evaluateLinear(a); !reflect.DeepEqual(got, want) {
 			t.Fatalf("out-of-range dispatch diverged:\n got %+v\nwant %+v", got, want)
 		}
 	}
@@ -133,9 +128,10 @@ func TestDispatchMatchesLinearCustomRules(t *testing.T) {
 			t.Fatalf("zero-Match rules must land in every bucket; got bucket %v", b)
 		}
 	}
+	var sc evalScratch
 	forEachCombo(func(a Actor, tm Timing, d DataClass, s Source) {
 		v := Action{Name: "custom", Actor: a, Timing: tm, Data: d, Source: s}
-		if got, want := e.evaluateDispatch(v, nil), e.evaluateLinear(v); !reflect.DeepEqual(got, want) {
+		if got, want := e.evaluateDispatch(v, &sc), e.evaluateLinear(v); !reflect.DeepEqual(got, want) {
 			t.Fatalf("custom-table dispatch diverged for %+v:\n got %+v\nwant %+v", v, got, want)
 		}
 	})
@@ -162,91 +158,10 @@ func TestDispatchSelectivity(t *testing.T) {
 	t.Logf("rule table %d, widest bucket %d", total, max)
 }
 
-// TestPackActionExactness pins the packed-word verifier's contract:
-// every valid action packs exactly (so cache verification may compare
-// packed words), any out-of-range field forces the inexact sentinel
-// (so verification falls back to the full structural compare), and the
-// packing is injective across single-field scalar perturbations.
-func TestPackActionExactness(t *testing.T) {
-	forEachCombo(func(a Actor, tm Timing, d DataClass, s Source) {
-		v := Action{Name: "pack", Actor: a, Timing: tm, Data: d, Source: s}
-		for _, va := range variantsOf(v) {
-			if w, exact := packAction(&va); !exact || w == wInexact {
-				t.Fatalf("valid action packed inexactly: %+v", va)
-			}
-		}
-	})
-
-	base := Action{Name: "pack", Actor: ActorGovernment, Timing: TimingStored, Data: DataContent, Source: SourceSeizedDevice}
-	for _, mut := range []func(*Action){
-		func(a *Action) { a.Actor = Actor(8) },
-		func(a *Action) { a.Actor = Actor(-1) },
-		func(a *Action) { a.Timing = Timing(4) },
-		func(a *Action) { a.Data = DataClass(8) },
-		func(a *Action) { a.Source = Source(16) },
-		func(a *Action) { a.ProviderRole = ProviderRole(16) },
-		func(a *Action) { a.Consent = &Consent{Scope: ConsentScope(16)} },
-		func(a *Action) { a.Exigency = &Exigency{Kind: ExigencyKind(8)} },
-	} {
-		a := base
-		mut(&a)
-		if w, exact := packAction(&a); exact || w != wInexact {
-			t.Fatalf("out-of-range action packed exactly: %+v", a)
-		}
-	}
-
-	// Injectivity across single-field flips of a fully loaded action.
-	full := base
-	full.Consent = &Consent{Scope: ConsentSpouse}
-	full.Exigency = &Exigency{Kind: ExigencyDanger}
-	full.Tech = &SpecializedTech{}
-	full.Workplace = &WorkplaceSearch{}
-	w0, exact := packAction(&full)
-	if !exact {
-		t.Fatalf("fully loaded valid action packed inexactly: %+v", full)
-	}
-	for i, mut := range []func(*Action){
-		func(a *Action) { a.Actor = ActorPrivate },
-		func(a *Action) { a.Timing = TimingRealTime },
-		func(a *Action) { a.Data = DataAddressing },
-		func(a *Action) { a.Source = SourceOwnNetwork },
-		func(a *Action) { a.Encrypted = true },
-		func(a *Action) { a.PlainView = true },
-		func(a *Action) { a.ProviderRole = ProviderECS },
-		func(a *Action) { a.Consent.Scope = ConsentParentMinor },
-		func(a *Action) { a.Consent = nil },
-		func(a *Action) { a.Exigency.Approved = true },
-		func(a *Action) { a.Tech.RevealsHomeInterior = true },
-		func(a *Action) { a.Workplace.PermissibleScope = true },
-	} {
-		a := full
-		if a.Consent != nil {
-			c := *full.Consent
-			a.Consent = &c
-		}
-		if a.Exigency != nil {
-			x := *full.Exigency
-			a.Exigency = &x
-		}
-		if a.Tech != nil {
-			te := *full.Tech
-			a.Tech = &te
-		}
-		if a.Workplace != nil {
-			wp := *full.Workplace
-			a.Workplace = &wp
-		}
-		mut(&a)
-		if w, _ := packAction(&a); w == w0 {
-			t.Fatalf("perturbation %d did not change the packed word: %+v", i, a)
-		}
-	}
-}
-
-// TestBatchDedupOrder is the regression test for within-batch
-// deduplication: duplicate slots must receive the first occurrence's
-// ruling at their original indices, errors included, and the dedup
-// counter must account for every coalesced slot.
+// TestBatchDedupOrder is the regression test for repeated actions in a
+// batch: duplicate slots must receive rulings equal to the first
+// occurrence's at their original indices, errors included, and every
+// slot counts as an evaluation.
 func TestBatchDedupOrder(t *testing.T) {
 	e := NewEngine(WithBatchWorkers(3), WithEngineStats())
 	mk := func(name string, d DataClass) Action {
@@ -280,57 +195,9 @@ func TestBatchDedupOrder(t *testing.T) {
 			t.Fatalf("duplicate slots %v diverged:\n%+v\n%+v", pair, rulings[pair[0]], rulings[pair[1]])
 		}
 	}
-	// alpha ×2 extra, bravo ×1 extra, bad ×1 extra.
-	if got := e.Stats().BatchDeduped; got != 4 {
-		t.Fatalf("BatchDeduped = %d, want 4", got)
-	}
-	// Three unique actions evaluated, one of them invalid.
+	// Seven slots evaluated, two of them invalid.
 	s := e.Stats()
-	if s.Evaluations != 3 || s.InvalidActions != 1 {
-		t.Fatalf("stats after batch = %+v, want 3 evaluations / 1 invalid", s)
-	}
-}
-
-// TestCacheCapacityEviction exercises the generational flush: a bounded
-// cache must stay within capacity, count its evictions, and keep
-// returning correct rulings for re-evaluated (evicted) actions.
-func TestCacheCapacityEviction(t *testing.T) {
-	const capacity = 4
-	e := NewEngine(WithRulingCacheCapacity(capacity), WithEngineStats())
-	ref := NewEngine()
-	actions := make([]Action, 10)
-	for i := range actions {
-		actions[i] = Action{
-			Name:   "evict-" + string(rune('a'+i)),
-			Actor:  ActorGovernment,
-			Timing: TimingStored,
-			Data:   DataClass(i%int(DataPublic) + 1),
-			Source: SourceSeizedDevice,
-		}
-	}
-	for round := 0; round < 3; round++ {
-		for _, a := range actions {
-			got, err := e.Evaluate(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.Evaluate(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("bounded-cache ruling diverged for %q:\n got %+v\nwant %+v", a.Name, got, want)
-			}
-		}
-	}
-	s := e.Stats()
-	if s.CacheSize > capacity {
-		t.Fatalf("cache size %d exceeds capacity %d", s.CacheSize, capacity)
-	}
-	if s.CacheEvictions == 0 {
-		t.Fatal("bounded cache over 3×10 distinct evaluations recorded no evictions")
-	}
-	if s.CacheMisses <= uint64(len(actions)) {
-		t.Fatalf("expected re-misses after eviction, got %d misses", s.CacheMisses)
+	if s.Evaluations != 7 || s.InvalidActions != 2 {
+		t.Fatalf("stats after batch = %+v, want 7 evaluations / 2 invalid", s)
 	}
 }

@@ -2,6 +2,7 @@ package legal
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -44,9 +45,10 @@ func (r Regime) String() string {
 }
 
 // Ruling is the engine's determination for one Action. Rulings returned by
-// the engine must be treated as immutable: with the ruling cache enabled
-// (and within one EvaluateBatch call), repeated evaluations of the same
-// action share the ruling's slices.
+// the engine must be treated as immutable: the engine interns ruling
+// shapes (everything but Action — see shapes.go), so every ruling of one
+// shape shares the same Exceptions, Privacy, Rationale, Citations and
+// Applied backing memory with every other ruling of that shape.
 type Ruling struct {
 	// Action echoes the evaluated action.
 	Action Action
@@ -68,13 +70,11 @@ type Ruling struct {
 	// the ruling's audit trail through the rule table.
 	Applied []string
 
-	// pw is the action's packed scalar word (see packAction), captured
-	// when the ruling was built, and pwExact records whether the
-	// packing is injective. Both are pure functions of Action — no
-	// engine or seed state — and let EvaluateDelta update the cache key
-	// in O(changed fields) instead of re-packing the whole action.
-	pw      uint64
-	pwExact bool
+	// validated records that the engine built this ruling from an action
+	// that passed Validate — the fact EvaluateDelta's short-circuit
+	// needs before it may trust the prior action's dispatch coordinates.
+	// Caller-constructed rulings leave it false and take the full path.
+	validated bool
 }
 
 // NeedsProcess reports whether the acquisition requires any warrant, court
@@ -167,23 +167,20 @@ func (d ContainerDoctrine) String() string {
 // NewEngine compiles the rule table into a dispatch index (see
 // dispatch.go) so evaluation consults only the candidate rules for an
 // action's (actor, timing, data, source) coordinates rather than the
-// whole table.
+// whole table, and each walk's result is interned in the engine's shape
+// table (see shapes.go) so repeated ruling shapes share one immutable
+// copy instead of being rebuilt.
 //
 // An Engine is safe for concurrent use: its configuration is immutable
 // after NewEngine, evaluation is a pure function of the action, and the
-// optional ruling cache is internally synchronized.
+// shape table is internally synchronized.
 type Engine struct {
 	container ContainerDoctrine
 	rules     []Rule
 	dispatch  *dispatchIndex
-	cache     *rulingCache
-	seed      uint64
+	shapes    shapeTable
 	workers   int
 	statsOn   bool
-
-	cacheWanted   bool
-	cacheSizeHint int
-	cacheCapacity int
 
 	counters engineCounters
 }
@@ -192,59 +189,34 @@ type Engine struct {
 // collected when WithEngineStats is configured.
 type engineCounters struct {
 	evaluations  atomic.Uint64
-	cacheMisses  atomic.Uint64
 	invalid      atomic.Uint64
 	rulesScanned atomic.Uint64
-	batchDeduped atomic.Uint64
-	batchChained atomic.Uint64
 	deltaEvals   atomic.Uint64
 	deltaShort   atomic.Uint64
 }
 
 // EngineStats is a point-in-time snapshot of the engine's counters —
-// enough to read cache effectiveness and dispatch selectivity off a
+// enough to read dispatch selectivity and delta effectiveness off a
 // running engine (cmd/evaluate -engine-stats prints one). Counters are
 // collected only on engines built with WithEngineStats; on other
-// engines every counter reads zero (RuleTableSize and CacheSize are
-// structural and always populated).
+// engines every counter reads zero (RuleTableSize is structural and
+// always populated).
 type EngineStats struct {
 	// Evaluations counts evaluation requests: Evaluate calls plus
-	// batch slots that were actually evaluated (deduplicated batch
-	// slots count under BatchDeduped instead).
+	// batch slots.
 	Evaluations uint64
-	// CacheHits and CacheMisses partition cache lookups. Both are zero
-	// when no cache is configured. Misses include evaluations of
-	// invalid actions (the lookup ran; nothing was cached).
-	CacheHits   uint64
-	CacheMisses uint64
-	// CacheEvictions counts entries dropped by capacity flushes (see
-	// WithRulingCacheCapacity).
-	CacheEvictions uint64
-	// CacheSize is the number of currently memoized rulings.
-	CacheSize int
 	// InvalidActions counts evaluations rejected by Action.Validate.
 	InvalidActions uint64
 	// RulesScanned totals the candidate rules consulted across all
-	// rule-table walks (cache hits walk no rules);
-	// RulesScanned/(CacheMisses-InvalidActions) — or /Evaluations on an
-	// uncached engine — is the average scan length, to be compared
-	// against RuleTableSize, the linear-walk cost the dispatch index
-	// avoids.
+	// rule-table walks; RulesScanned/(Evaluations-InvalidActions) is the
+	// average scan length, to be compared against RuleTableSize, the
+	// linear-walk cost the dispatch index avoids.
 	RulesScanned uint64
-	// BatchDeduped counts batch slots satisfied by within-batch
-	// deduplication instead of a fresh evaluation.
-	BatchDeduped uint64
-	// BatchDeltaChained counts batch slots satisfied by the delta-
-	// compression pre-pass: near-duplicates of an earlier slot (same
-	// scalar shape and exposure, different name) that received the base
-	// slot's ruling with the name patched instead of a fresh evaluation.
-	BatchDeltaChained uint64
 	// DeltaEvaluations counts EvaluateDelta calls; DeltaShortCircuits
 	// counts the subset resolved by the dispatch-bitset proof without
-	// touching the rule table or the cache. Short-circuited calls do
-	// not count under Evaluations (no engine evaluation ran); the
-	// remainder re-enter the normal evaluation path and are counted
-	// there.
+	// touching the rule table. Short-circuited calls do not count under
+	// Evaluations (no engine evaluation ran); the remainder re-enter the
+	// normal evaluation path and are counted there.
 	DeltaEvaluations   uint64
 	DeltaShortCircuits uint64
 	// RuleTableSize is the engine's rule count.
@@ -256,25 +228,14 @@ type EngineStats struct {
 // evaluation may be transiently inconsistent between fields; each
 // individual counter is monotonic.
 func (e *Engine) Stats() EngineStats {
-	s := EngineStats{
+	return EngineStats{
 		Evaluations:        e.counters.evaluations.Load(),
 		InvalidActions:     e.counters.invalid.Load(),
 		RulesScanned:       e.counters.rulesScanned.Load(),
-		BatchDeduped:       e.counters.batchDeduped.Load(),
-		BatchDeltaChained:  e.counters.batchChained.Load(),
 		DeltaEvaluations:   e.counters.deltaEvals.Load(),
 		DeltaShortCircuits: e.counters.deltaShort.Load(),
 		RuleTableSize:      len(e.rules),
 	}
-	if e.cache != nil {
-		s.CacheMisses = e.counters.cacheMisses.Load()
-		if s.CacheMisses < s.Evaluations {
-			s.CacheHits = s.Evaluations - s.CacheMisses
-		}
-		s.CacheEvictions = e.cache.evictions.Load()
-		s.CacheSize = e.cache.len()
-	}
-	return s
 }
 
 // EngineOption configures an Engine.
@@ -293,37 +254,9 @@ func WithRules(rules []Rule) EngineOption {
 	return func(e *Engine) { e.rules = rules }
 }
 
-// WithRulingCache enables the memoization cache: identical actions
-// evaluate once and subsequent evaluations return the memoized ruling.
-// Lookups are lock-free (see cache.go); sizeHint seeds the initial
-// bucket count (rounded up to a power of two; <= 0 selects a default)
-// and the table grows as needed. Evaluation is a pure function of the
-// action, so caching never changes a ruling.
-func WithRulingCache(sizeHint int) EngineOption {
-	return func(e *Engine) {
-		e.cacheWanted = true
-		e.cacheSizeHint = sizeHint
-	}
-}
-
-// WithRulingCacheCapacity bounds the ruling cache at maxEntries
-// memoized rulings (implying WithRulingCache). When full, the cache
-// evicts by flushing a whole generation — evicted rulings are simply
-// recomputed on next use — and counts the dropped entries in
-// EngineStats.CacheEvictions. maxEntries <= 0 leaves the cache
-// unbounded (the default).
-func WithRulingCacheCapacity(maxEntries int) EngineOption {
-	return func(e *Engine) {
-		e.cacheWanted = true
-		e.cacheCapacity = maxEntries
-	}
-}
-
 // WithEngineStats enables counter collection (see EngineStats). Off by
-// default: the cache-hit path is then entirely free of shared-memory
-// writes, and a hit costs a hash, one lock-free lookup, and a
-// structural verify. Enabling stats adds one atomic counter update per
-// evaluation.
+// default, so evaluation writes no shared counters; enabling stats adds
+// a few atomic counter updates per evaluation.
 func WithEngineStats() EngineOption {
 	return func(e *Engine) { e.statsOn = true }
 }
@@ -337,7 +270,7 @@ func WithBatchWorkers(n int) EngineOption {
 // NewEngine returns a ready-to-use compliance engine, with the rule
 // table compiled into its dispatch index.
 func NewEngine(opts ...EngineOption) *Engine {
-	e := &Engine{container: ContainerPerFile, seed: newHashSeed()}
+	e := &Engine{container: ContainerPerFile}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -345,9 +278,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 		e.rules = DefaultRules()
 	}
 	e.dispatch = compileDispatch(e.rules)
-	if e.cacheWanted {
-		e.cache = newRulingCache(e.cacheSizeHint, e.cacheCapacity)
-	}
 	return e
 }
 
@@ -366,42 +296,9 @@ func (e *Engine) Rules() []Rule {
 // candidate rules for the action in pipeline order: each rule whose
 // predicate matches contributes to the ruling, and a terminal rule ends
 // the walk. It is a pure function of the action: identical actions
-// yield identical rulings (which is what makes the ruling cache sound).
+// yield identical rulings.
 func (e *Engine) Evaluate(a Action) (Ruling, error) {
-	if c := e.cache; c != nil {
-		// Look up before validating: only validated actions are ever
-		// cached, and a hash hit is verified by full equality against
-		// the cached (validated) action, so a hit implies validity.
-		// The hit path — hash, lock-free lookup, verify — allocates
-		// nothing and writes nothing; the probe loop is open-coded
-		// here (rather than calling cache.get) to keep hit latency
-		// down. Verification is exact, never probabilistic: when the
-		// packed scalar word is injective for this action (the normal
-		// case — see packAction) equality reduces to comparing that
-		// word plus Name and Exposure; otherwise it falls back to the
-		// full field-by-field compare.
-		h, w, exact := hashActionKey(e.seed, &a)
-		t := c.table.Load()
-		for en := t.slots[h&t.mask].Load(); en != nil; en = en.next {
-			if en.hash != h {
-				continue
-			}
-			if exact {
-				if en.w != w || a.Name != en.action.Name ||
-					!exposuresEqual(a.Exposure, en.action.Exposure) {
-					continue
-				}
-			} else if !actionsEqual(&en.action, &a) {
-				continue
-			}
-			if e.statsOn {
-				e.counters.evaluations.Add(1)
-			}
-			return *en.ruling, nil
-		}
-		return e.evaluateMiss(a, h, nil)
-	}
-	return e.evaluateUncached(a, nil)
+	return e.evaluate(a, nil)
 }
 
 // EvaluateDelta re-evaluates a previously ruled action after the given
@@ -412,16 +309,14 @@ func (e *Engine) Evaluate(a Action) (Ruling, error) {
 // and, like all rulings, must be treated as immutable.
 //
 // The fast path is an O(changed fields) proof that the prior ruling
-// still holds: when the delta leaves the four dispatch dimensions
-// untouched, every new value is in range, and the changed-field mask
-// misses the action's dispatch bucket sensitivity (the union of its
-// rules' declared Reads — see RuleMatch), then by induction over the
-// bucket walk every rule observes identical inputs, fires identically,
-// and contributes identically, so the prior ruling is returned with
-// only the action (and its packed word) updated — no rule walk, no
-// cache traffic, no allocation. Otherwise the action is rebuilt, the
-// cache key is updated incrementally from prev's packed word, and the
-// normal evaluation path runs.
+// still holds: when prev was built from a validated action, the delta
+// leaves the four dispatch dimensions untouched, every new value is in
+// range, and the changed-field mask misses the action's dispatch bucket
+// sensitivity (the union of its rules' declared Reads — see RuleMatch),
+// then by induction over the bucket walk every rule observes identical
+// inputs, fires identically, and contributes identically, so the prior
+// ruling is returned with only the action updated — no rule walk, no
+// allocation. Otherwise the action is rebuilt and evaluated in full.
 func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 	if prev == nil {
 		return Ruling{}, fmt.Errorf("legal: EvaluateDelta: nil previous ruling")
@@ -430,124 +325,46 @@ func (e *Engine) EvaluateDelta(prev *Ruling, d ActionDelta) (Ruling, error) {
 		e.counters.deltaEvals.Add(1)
 	}
 	changed := d.mask()
-	if changed&dimFieldMask == 0 && prev.pwExact && d.changedInRange() {
-		// In-range dimensions (guaranteed by pwExact on a valid prior
-		// action) index the bucket whose sensitivity decides the proof.
+	if changed&dimFieldMask == 0 && prev.validated && d.changedInRange() {
+		// A validated prior action has in-range dimensions, which index
+		// the bucket whose sensitivity decides the proof.
 		bi := bucketIndex(prev.Action.Actor, prev.Action.Timing, prev.Action.Data, prev.Action.Source)
-		if bi >= 0 && bi < len(e.dispatch.sens) && e.dispatch.sens[bi]&changed == 0 {
-			if w, ok := d.updatePacked(prev.pw); ok {
-				r := *prev
-				d.Apply(&r.Action)
-				r.pw = w
-				if e.statsOn {
-					e.counters.deltaShort.Add(1)
-				}
-				return r, nil
+		if e.dispatch.sens[bi]&changed == 0 {
+			r := *prev
+			d.Apply(&r.Action)
+			if e.statsOn {
+				e.counters.deltaShort.Add(1)
 			}
+			return r, nil
 		}
 	}
 	a := prev.Action
 	d.Apply(&a)
-	c := e.cache
-	if c == nil {
-		return e.evaluateUncached(a, nil)
-	}
-	// Incremental cache key: fold the delta into prev's packed word in
-	// O(changed fields) when possible, then hash Name and Exposure —
-	// skipping the full packAction walk. Equal to hashActionKey by
-	// construction (updatePacked mirrors packAction's layout; the
-	// sweep and fuzz tests pin it).
-	w, exact := wInexact, false
-	if prev.pwExact {
-		if nw, ok := d.updatePacked(prev.pw); ok {
-			w, exact = nw, true
-		}
-	}
-	if !exact {
-		w, exact = packAction(&a)
-	}
-	h := hashString(e.seed, a.Name) ^ w
-	for _, x := range a.Exposure {
-		h = h*0x9e3779b97f4a7c15 + uint64(x)
-	}
-	h = mix64(h)
-	t := c.table.Load()
-	for en := t.slots[h&t.mask].Load(); en != nil; en = en.next {
-		if en.hash != h {
-			continue
-		}
-		if exact {
-			if en.w != w || a.Name != en.action.Name ||
-				!exposuresEqual(a.Exposure, en.action.Exposure) {
-				continue
-			}
-		} else if !actionsEqual(&en.action, &a) {
-			continue
-		}
-		if e.statsOn {
-			e.counters.evaluations.Add(1)
-		}
-		return *en.ruling, nil
-	}
-	return e.evaluateMiss(a, h, nil)
+	return e.evaluate(a, nil)
 }
 
-// evaluate is Evaluate with a per-worker scratch (batch workers pass
-// one; see dispatch.go). The cache probe mirrors Evaluate's.
+// scratchPool lends evaluation scratch: Evaluate and EvaluateDelta
+// borrow one per call, a batch worker one for its share of the batch.
+var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
+
+// evaluate validates the action, walks its dispatch bucket into the
+// scratch (a pooled one when sc is nil), and returns the interned shape
+// under the caller's action.
 func (e *Engine) evaluate(a Action, sc *evalScratch) (Ruling, error) {
-	if c := e.cache; c != nil {
-		h, w, exact := hashActionKey(e.seed, &a)
-		t := c.table.Load()
-		for en := t.slots[h&t.mask].Load(); en != nil; en = en.next {
-			if en.hash != h {
-				continue
-			}
-			if exact {
-				if en.w != w || a.Name != en.action.Name ||
-					!exposuresEqual(a.Exposure, en.action.Exposure) {
-					continue
-				}
-			} else if !actionsEqual(&en.action, &a) {
-				continue
-			}
-			if e.statsOn {
-				e.counters.evaluations.Add(1)
-			}
-			return *en.ruling, nil
-		}
-		return e.evaluateMiss(a, h, sc)
-	}
-	return e.evaluateUncached(a, sc)
-}
-
-// evaluateMiss is the cache-miss slow path: validate, walk the
-// dispatch bucket, memoize.
-func (e *Engine) evaluateMiss(a Action, h uint64, sc *evalScratch) (Ruling, error) {
 	if e.statsOn {
 		e.counters.evaluations.Add(1)
-		e.counters.cacheMisses.Add(1)
 	}
 	if err := a.Validate(); err != nil {
 		if e.statsOn {
 			e.counters.invalid.Add(1)
 		}
 		return Ruling{}, err
+	}
+	if sc == nil {
+		sc = scratchPool.Get().(*evalScratch)
+		defer scratchPool.Put(sc)
 	}
 	r := e.evaluateDispatch(a, sc)
-	e.cache.put(h, &r)
+	r.validated = true
 	return r, nil
-}
-
-// evaluateUncached evaluates without cache involvement.
-func (e *Engine) evaluateUncached(a Action, sc *evalScratch) (Ruling, error) {
-	if e.statsOn {
-		e.counters.evaluations.Add(1)
-	}
-	if err := a.Validate(); err != nil {
-		if e.statsOn {
-			e.counters.invalid.Add(1)
-		}
-		return Ruling{}, err
-	}
-	return e.evaluateDispatch(a, sc), nil
 }

@@ -17,9 +17,9 @@ type PrivacyFinding struct {
 // (§ II-C): a person has REP if (1) they actually expect privacy and
 // (2) society recognizes that expectation as reasonable. The paper's factor
 // list then identifies situations in which the expectation is absent or
-// lost.
-func analyzePrivacy(a *Action) PrivacyFinding {
-	f := PrivacyFinding{Reasonable: true}
+// lost. The finding is written into f, reusing its slices' capacity.
+func analyzePrivacy(a *Action, f *PrivacyFinding) {
+	*f = PrivacyFinding{Reasonable: true, Reasons: f.Reasons[:0], Citations: f.Citations[:0]}
 	f.cite("Katz")
 
 	// Public information never carries REP.
@@ -80,7 +80,6 @@ func analyzePrivacy(a *Action) PrivacyFinding {
 		f.Reasons = append(f.Reasons,
 			"the contents of private communications carry a reasonable expectation of privacy")
 	}
-	return f
 }
 
 func (f *PrivacyFinding) no(reason string) {

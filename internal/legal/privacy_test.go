@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// privacyOf runs the REP analysis into a fresh finding.
+func privacyOf(a *Action) PrivacyFinding {
+	var f PrivacyFinding
+	analyzePrivacy(a, &f)
+	return f
+}
+
 func TestAnalyzePrivacyBaseline(t *testing.T) {
 	// A private communication's content, with no exposure facts,
 	// retains REP.
@@ -16,7 +23,7 @@ func TestAnalyzePrivacyBaseline(t *testing.T) {
 		Data:   DataContent,
 		Source: SourceTargetDevice,
 	}
-	f := analyzePrivacy(&a)
+	f := privacyOf(&a)
 	if !f.Reasonable {
 		t.Fatalf("private content should retain REP; reasons: %v", f.Reasons)
 	}
@@ -33,7 +40,7 @@ func TestAnalyzePrivacyDeviceContents(t *testing.T) {
 		Data:   DataDeviceContents,
 		Source: SourceTargetDevice,
 	}
-	f := analyzePrivacy(&a)
+	f := privacyOf(&a)
 	if !f.Reasonable {
 		t.Fatalf("device contents are a closed container with REP; reasons: %v", f.Reasons)
 	}
@@ -61,7 +68,7 @@ func TestAnalyzePrivacyExposureFacts(t *testing.T) {
 		t.Run(fact.String(), func(t *testing.T) {
 			a := base
 			a.Exposure = []ExposureFact{fact}
-			f := analyzePrivacy(&a)
+			f := privacyOf(&a)
 			if f.Reasonable {
 				t.Errorf("exposure fact %v must defeat REP", fact)
 			}
@@ -80,7 +87,7 @@ func TestAnalyzePrivacyPublicData(t *testing.T) {
 		Data:   DataPublic,
 		Source: SourcePublicService,
 	}
-	if f := analyzePrivacy(&a); f.Reasonable {
+	if f := privacyOf(&a); f.Reasonable {
 		t.Error("public data must carry no REP")
 	}
 }
@@ -95,7 +102,7 @@ func TestAnalyzePrivacyAddressing(t *testing.T) {
 		Data:   DataAddressing,
 		Source: SourceThirdPartyNetwork,
 	}
-	f := analyzePrivacy(&a)
+	f := privacyOf(&a)
 	if f.Reasonable {
 		t.Error("addressing information must carry no constitutional REP")
 	}
@@ -122,7 +129,7 @@ func TestAnalyzePrivacyKyllo(t *testing.T) {
 		Exposure: []ExposureFact{ExposureKnowinglyPublic},
 		Tech:     &SpecializedTech{GeneralPublicUse: false, RevealsHomeInterior: true},
 	}
-	f := analyzePrivacy(&a)
+	f := privacyOf(&a)
 	if !f.Reasonable {
 		t.Fatal("Kyllo technology must restore the search finding despite exposure")
 	}
@@ -146,7 +153,7 @@ func TestAnalyzePrivacyGeneralPublicUseTech(t *testing.T) {
 		Source: SourceTargetDevice,
 		Tech:   &SpecializedTech{GeneralPublicUse: true, RevealsHomeInterior: true},
 	}
-	f := analyzePrivacy(&a)
+	f := privacyOf(&a)
 	// Technology in general public use does not trigger Kyllo; the
 	// baseline closed-container REP still holds here because no exposure
 	// facts are present.
@@ -178,9 +185,9 @@ func TestExposureMonotonicity(t *testing.T) {
 			Source:   SourceTargetDevice,
 			Exposure: base,
 		}
-		before := analyzePrivacy(&a)
+		before := privacyOf(&a)
 		a.Exposure = append(append([]ExposureFact{}, base...), allFacts[int(extra)%len(allFacts)])
-		after := analyzePrivacy(&a)
+		after := privacyOf(&a)
 		// REP can only be destroyed by adding facts, never created.
 		if !before.Reasonable {
 			return !after.Reasonable
@@ -216,13 +223,13 @@ func TestExposureOrderInvariance(t *testing.T) {
 			Source:   SourceTargetDevice,
 			Exposure: facts,
 		}
-		want := analyzePrivacy(&a).Reasonable
+		want := privacyOf(&a).Reasonable
 		shuffled := append([]ExposureFact{}, facts...)
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		a.Exposure = shuffled
-		return analyzePrivacy(&a).Reasonable == want
+		return privacyOf(&a).Reasonable == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Errorf("exposure order invariance violated: %v", err)

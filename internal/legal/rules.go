@@ -21,7 +21,7 @@ import "fmt"
 //
 // To add a new doctrine, register a new Rule here (or build a custom
 // table with DefaultRules + InsertRuleBefore and pass it to NewEngine via
-// WithRules) — the pipeline, the batch API, the cache, and the advisor
+// WithRules) — the pipeline, the batch API, the shape table, and the advisor
 // all pick it up without modification.
 
 // RuleContext carries one evaluation through the rule table. Rules read
@@ -33,6 +33,17 @@ type RuleContext struct {
 	// read-only.
 	Action *Action
 	ruling *Ruling
+	// privacy is the scratch REP finding the rep-analysis stage fills;
+	// nil on the reference walk, which allocates a fresh one.
+	privacy *PrivacyFinding
+}
+
+// privacyFinding returns storage for the evaluation's REP finding.
+func (rc *RuleContext) privacyFinding() *PrivacyFinding {
+	if rc.privacy == nil {
+		return new(PrivacyFinding)
+	}
+	return rc.privacy
 }
 
 // Container reports the engine's configured closed-container doctrine.
@@ -66,6 +77,33 @@ func (rc *RuleContext) Note(reasons ...string) {
 // Cite records supporting authorities by ID, deduplicated, in the order
 // first relied upon.
 func (rc *RuleContext) Cite(ids ...string) { rc.ruling.cite(ids...) }
+
+// consentReasons and exigencyReasons hold the exception reasons the
+// consent and exigency rules format from an enum, built once per named
+// value so a walk that relies on either builds no string.
+var (
+	consentReasons  = prefixAll(consentScopeNames, "consent: ")
+	exigencyReasons = prefixAll(exigencyNames, "exigency: ")
+)
+
+func prefixAll[K comparable](names map[K]string, prefix string) map[K]string {
+	out := make(map[K]string, len(names))
+	for k, name := range names {
+		out[k] = prefix + name
+	}
+	return out
+}
+
+// prefixed returns prefix+v.String(), from table when v is named.
+func prefixed[K interface {
+	comparable
+	fmt.Stringer
+}](table map[K]string, prefix string, v K) string {
+	if s, ok := table[v]; ok {
+		return s
+	}
+	return prefix + v.String()
+}
 
 // Rule is one named doctrine in the evaluation pipeline: a predicate, a
 // ruling contribution, the authorities it rests on, and (optionally) a
@@ -645,8 +683,9 @@ func DefaultRules() []Rule {
 			Match: RuleMatch{Timings: stored, Reads: reads(FieldExposure, FieldTech)},
 			When:  func(rc *RuleContext) bool { return rc.Action.Timing == TimingStored },
 			Apply: func(rc *RuleContext) {
-				p := analyzePrivacy(rc.Action)
-				rc.ruling.Privacy = &p
+				p := rc.privacyFinding()
+				analyzePrivacy(rc.Action, p)
+				rc.ruling.Privacy = p
 				rc.ruling.Regime = RegimeFourthAmendment
 				for _, c := range p.Citations {
 					rc.Cite(c.ID)
@@ -693,7 +732,7 @@ func DefaultRules() []Rule {
 			Apply: func(rc *RuleContext) {
 				rc.Require(ProcessNone, RegimeFourthAmendment,
 					"voluntary consent by a person with authority permits a warrantless search within the consent's scope")
-				rc.Except(ExceptionConsent, fmt.Sprintf("consent: %s", rc.Action.Consent.Scope))
+				rc.Except(ExceptionConsent, prefixed(consentReasons, "consent: ", rc.Action.Consent.Scope))
 			},
 			Citations: []string{"Matlock"},
 			Terminal:  true,
@@ -721,7 +760,7 @@ func DefaultRules() []Rule {
 			Apply: func(rc *RuleContext) {
 				rc.Require(ProcessNone, RegimeFourthAmendment,
 					"exigent circumstances permit a warrantless search immediately necessary to protect safety or preserve evidence")
-				rc.Except(ExceptionExigency, fmt.Sprintf("exigency: %s", rc.Action.Exigency.Kind))
+				rc.Except(ExceptionExigency, prefixed(exigencyReasons, "exigency: ", rc.Action.Exigency.Kind))
 			},
 			Citations: []string{"Mincey"},
 			Terminal:  true,

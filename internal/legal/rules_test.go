@@ -7,7 +7,7 @@ import (
 )
 
 // sweepActions enumerates a broad grid of action shapes, shared by the
-// batch, cache, and rule-table tests.
+// batch, shape-table, and rule-table tests.
 func sweepActions() []Action {
 	var out []Action
 	consents := []*Consent{

@@ -12,7 +12,7 @@ import (
 // through EvaluateDelta, must equal a full evaluation of the mutated
 // action on a fresh engine.
 func TestDeltaChainsMatchFullEvaluation(t *testing.T) {
-	engine := legal.NewEngine(legal.WithRulingCache(0))
+	engine := legal.NewEngine()
 	ref := legal.NewEngine()
 	chains, err := DeltaChains(engine)
 	if err != nil {

@@ -31,37 +31,3 @@ func TestTable1DispatchSelectivity(t *testing.T) {
 		}
 	}
 }
-
-// TestTable1CacheCounters pins the cache counters on the Table 1
-// workload: a second pass over the scenes must be all hits, and hits
-// must not re-scan rules.
-func TestTable1CacheCounters(t *testing.T) {
-	e := legal.NewEngine(legal.WithRulingCache(32), legal.WithEngineStats())
-	scenes := scenario.Table1()
-	for _, s := range scenes {
-		if _, err := e.Evaluate(s.Action); err != nil {
-			t.Fatalf("scene %d: %v", s.Number, err)
-		}
-	}
-	cold := e.Stats()
-	if cold.CacheMisses != uint64(len(scenes)) || cold.CacheHits != 0 {
-		t.Fatalf("cold pass: %d misses / %d hits, want %d / 0",
-			cold.CacheMisses, cold.CacheHits, len(scenes))
-	}
-	for _, s := range scenes {
-		if _, err := e.Evaluate(s.Action); err != nil {
-			t.Fatalf("scene %d: %v", s.Number, err)
-		}
-	}
-	warm := e.Stats()
-	if warm.CacheHits != uint64(len(scenes)) || warm.CacheMisses != cold.CacheMisses {
-		t.Fatalf("warm pass: %d hits / %d misses, want %d / %d",
-			warm.CacheHits, warm.CacheMisses, len(scenes), cold.CacheMisses)
-	}
-	if warm.RulesScanned != cold.RulesScanned {
-		t.Fatalf("cache hits re-scanned rules: %d -> %d", cold.RulesScanned, warm.RulesScanned)
-	}
-	if warm.CacheSize != len(scenes) {
-		t.Fatalf("cache size %d, want %d", warm.CacheSize, len(scenes))
-	}
-}

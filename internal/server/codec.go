@@ -54,8 +54,13 @@ func putScratch(sc *reqScratch) {
 // readBody reads the whole request body into buf under the same
 // robustness caps readJSON enforces: at most maxBody bytes (413
 // beyond), delivered within bodyReadTimeout (408), read failures as
-// 400. The returned slice reuses buf's backing.
+// 400. A body whose announced Content-Length already exceeds maxBody
+// is refused before a byte of it is read; a chunked body is cut off by
+// MaxBytesReader at the cap. The returned slice reuses buf's backing.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, *apiError) {
+	if r.ContentLength > s.maxBody {
+		return buf[:0], s.tooLarge()
+	}
 	rc := http.NewResponseController(w)
 	// Best effort: test recorders don't support deadlines; real
 	// connections do, and that is where slow-loris defense matters.
@@ -75,8 +80,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([
 			var tooLarge *http.MaxBytesError
 			switch {
 			case errors.As(err, &tooLarge):
-				return buf, &apiError{status: http.StatusRequestEntityTooLarge,
-					msg: fmt.Sprintf("request body exceeds %d bytes", s.maxBody)}
+				return buf, s.tooLarge()
 			case errors.Is(err, os.ErrDeadlineExceeded):
 				return buf, &apiError{status: http.StatusRequestTimeout,
 					msg: fmt.Sprintf("request body not delivered within %s", s.bodyReadTimeout)}
@@ -88,6 +92,12 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([
 	// Reset the read deadline so response writing is not affected.
 	_ = rc.SetReadDeadline(time.Time{})
 	return buf, nil
+}
+
+// tooLarge is the 413 for a body over maxBody.
+func (s *Server) tooLarge() *apiError {
+	return &apiError{status: http.StatusRequestEntityTooLarge,
+		msg: fmt.Sprintf("request body exceeds %d bytes", s.maxBody)}
 }
 
 // readAction reads and decodes one action through the wire codec.

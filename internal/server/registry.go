@@ -42,13 +42,10 @@ type RuleConfig struct {
 	Rules []string `json:"rules,omitempty"`
 	// Disable drops the named rules from the selection.
 	Disable []string `json:"disable,omitempty"`
-	// CacheCapacity bounds the tenant engine's ruling cache; 0 leaves
-	// it unbounded.
-	CacheCapacity int `json:"cacheCapacity,omitempty"`
 }
 
 // compile builds a fresh engine from the config. The returned engine is
-// fully constructed — dispatch index, cache, counters — before anyone
+// fully constructed — dispatch index, counters — before anyone
 // can observe it, which is what makes the registry's pointer swap safe.
 func (c *RuleConfig) compile() (*legal.Engine, int, error) {
 	doctrine := legal.ContainerPerFile
@@ -103,8 +100,6 @@ func (c *RuleConfig) compile() (*legal.Engine, int, error) {
 	eng := legal.NewEngine(
 		legal.WithRules(selected),
 		legal.WithContainerDoctrine(doctrine),
-		legal.WithRulingCache(0),
-		legal.WithRulingCacheCapacity(c.CacheCapacity),
 		legal.WithEngineStats(),
 	)
 	return eng, len(selected), nil

@@ -74,7 +74,6 @@ type Server struct {
 	maxBody         int64
 	maxBatch        int
 	drainDelay      time.Duration
-	cacheCapacity   int
 }
 
 // serverStats are the service's monotonic counters; read them with
@@ -200,11 +199,6 @@ func WithEvalHook(h EvalHook) Option {
 	return func(s *Server) { s.hook = h }
 }
 
-// WithCacheCapacity bounds each tenant engine's ruling cache.
-func WithCacheCapacity(n int) Option {
-	return func(s *Server) { s.cacheCapacity = n }
-}
-
 // WithClock injects a clock for tests.
 func WithClock(now func() time.Time) Option {
 	return func(s *Server) { s.now = now }
@@ -232,7 +226,7 @@ func New(opts ...Option) (*Server, error) {
 	s.adm = newAdmission(s.slots, s.maxWait)
 	s.reg = NewRegistry(s.rate, s.burst, s.now)
 	for _, id := range s.tenants {
-		if _, _, err := s.reg.Install(id, RuleConfig{CacheCapacity: s.cacheCapacity}); err != nil {
+		if _, _, err := s.reg.Install(id, RuleConfig{}); err != nil {
 			return nil, fmt.Errorf("server: provisioning tenant %q: %w", id, err)
 		}
 	}

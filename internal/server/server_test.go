@@ -127,6 +127,25 @@ func TestDeliberateClientErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("chunked oversized body is 413", func(t *testing.T) {
+		// No announced length: the body streams chunked and is cut off
+		// by the read cap rather than refused up front.
+		big := io.MultiReader(strings.NewReader(`{"Name": "`), strings.NewReader(strings.Repeat("x", 4096)+`"}`))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/evaluate", big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = -1
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("status = %d, want 413", resp.StatusCode)
+		}
+	})
+
 	t.Run("unknown tenant is 404", func(t *testing.T) {
 		resp, _ := postJSON(t, client, ts.URL+"/v1/evaluate?tenant=nobody", validAction())
 		if resp.StatusCode != http.StatusNotFound {
@@ -547,7 +566,7 @@ func TestInstallRulesValidation(t *testing.T) {
 		t.Fatal("failed install provisioned the tenant anyway")
 	}
 
-	resp, data := put("lab", RuleConfig{Container: "single", CacheCapacity: 64})
+	resp, data := put("lab", RuleConfig{Container: "single"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("good install: status = %d body %s", resp.StatusCode, data)
 	}
@@ -608,5 +627,33 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if !st.Ready {
 		t.Fatalf("metricsz = %+v, want ready", st)
+	}
+}
+
+// unreadBody fails the test if the server reads any of it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("server read a body whose announced length exceeds the cap")
+	return 0, io.EOF
+}
+
+func (unreadBody) Close() error { return nil }
+
+// TestAnnouncedOversizedBodyNeverRead: a Content-Length over the cap is
+// refused with 413 before the body is touched, on every endpoint that
+// reads one, so an oversized upload costs the server no buffer growth.
+func TestAnnouncedOversizedBodyNeverRead(t *testing.T) {
+	s := mustServer(t, WithMaxBody(512))
+	h := s.Handler()
+	for _, path := range []string{"/v1/evaluate", "/v1/evaluate/batch", "/v1/advise"} {
+		req := httptest.NewRequest(http.MethodPost, path, nil)
+		req.Body = unreadBody{t}
+		req.ContentLength = 2 << 20
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413", path, rec.Code)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"unicode/utf8"
 
 	"lawgate/internal/legal"
-	"lawgate/internal/report"
 )
 
 // maxSkipDepth bounds nesting while skipping unknown fields, so a
@@ -518,20 +517,6 @@ func (d *decoder) internedString(s *string) error {
 	return nil
 }
 
-// copiedString decodes a string value into *s as a fresh copy — for
-// the colder decoders whose strings should not crowd the intern cache.
-func (d *decoder) copiedString(s *string) error {
-	if d.tryNull() {
-		return nil
-	}
-	b, err := d.parseString()
-	if err != nil {
-		return err
-	}
-	*s = string(b)
-	return nil
-}
-
 // setInt decodes an integer value into any int-kinded field; null is a
 // no-op.
 func setInt[T ~int](d *decoder, p *T) error {
@@ -559,23 +544,10 @@ func (d *decoder) setBool(p *bool) error {
 	return nil
 }
 
-// setInt64 decodes an int64 field; null is a no-op.
-func (d *decoder) setInt64(p *int64) error {
-	if d.tryNull() {
-		return nil
-	}
-	v, err := d.parseInt()
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
-
 // decodeIntSlice decodes a JSON array of integers into a FRESH slice:
 // null → nil, [] → non-nil empty, null elements → zero values — all
-// encoding/json semantics. The backing is never pooled because decoded
-// slices escape into the engine's ruling cache.
+// encoding/json semantics. The backing is never pooled because the
+// decoded action is the caller's to keep (a ruling echoes it).
 func decodeIntSlice[T ~int](d *decoder, p *[]T) error {
 	if d.tryNull() {
 		*p = nil
@@ -608,45 +580,6 @@ func decodeIntSlice[T ~int](d *decoder, p *[]T) error {
 		}
 		if !more {
 			*p = xs
-			return nil
-		}
-	}
-}
-
-// stringSlice decodes a JSON array of strings into a fresh slice with
-// fresh string copies; same null/empty semantics as decodeIntSlice.
-func (d *decoder) stringSlice(p *[]string) error {
-	if d.tryNull() {
-		*p = nil
-		return nil
-	}
-	if err := d.expect('['); err != nil {
-		return err
-	}
-	ss := make([]string, 0)
-	d.skipSpace()
-	if d.pos < len(d.data) && d.data[d.pos] == ']' {
-		d.pos++
-		*p = ss
-		return nil
-	}
-	for {
-		d.skipSpace()
-		if d.tryNull() {
-			ss = append(ss, "")
-		} else {
-			b, err := d.parseString()
-			if err != nil {
-				return err
-			}
-			ss = append(ss, string(b))
-		}
-		more, err := d.endElem(']')
-		if err != nil {
-			return err
-		}
-		if !more {
-			*p = ss
 			return nil
 		}
 	}
@@ -817,9 +750,10 @@ func (d *decoder) decodeWorkplace(w *legal.WorkplaceSearch) error {
 
 // decodeAction fills a from one JSON object. Sub-objects and slices
 // are freshly allocated on every call — NEVER pooled — because the
-// engine's ruling cache retains a shallow copy of the Action, so any
-// reuse of pointer/slice backing across requests would corrupt cached
-// rulings. The scalar-only hot serving shape allocates nothing.
+// decoded action belongs to the caller, who may keep it (and every
+// ruling echoing it) past the next decode; reused pointer/slice
+// backing would let one request rewrite another's action. The
+// scalar-only hot serving shape allocates nothing.
 func (d *decoder) decodeAction(a *legal.Action) error {
 	d.skipSpace()
 	if d.tryNull() {
@@ -927,206 +861,6 @@ func (d *decoder) decodeAction(a *legal.Action) error {
 	}
 }
 
-func (d *decoder) decodeCitation(c *legal.Citation) error {
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
-	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "id":
-			err = d.copiedString(&c.ID)
-		case "title":
-			err = d.copiedString(&c.Title)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-}
-
-func (d *decoder) citationSlice(p *[]legal.Citation) error {
-	if d.tryNull() {
-		*p = nil
-		return nil
-	}
-	if err := d.expect('['); err != nil {
-		return err
-	}
-	cs := make([]legal.Citation, 0)
-	d.skipSpace()
-	if d.pos < len(d.data) && d.data[d.pos] == ']' {
-		d.pos++
-		*p = cs
-		return nil
-	}
-	for {
-		d.skipSpace()
-		cs = append(cs, legal.Citation{})
-		if !d.tryNull() {
-			if err := d.decodeCitation(&cs[len(cs)-1]); err != nil {
-				return err
-			}
-		}
-		more, err := d.endElem(']')
-		if err != nil {
-			return err
-		}
-		if !more {
-			*p = cs
-			return nil
-		}
-	}
-}
-
-func (d *decoder) decodePrivacy(p *legal.PrivacyFinding) error {
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
-	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "reasonable":
-			err = d.setBool(&p.Reasonable)
-		case "reasons":
-			err = d.stringSlice(&p.Reasons)
-		case "citations":
-			err = d.citationSlice(&p.Citations)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-}
-
-func (d *decoder) decodeRuling(r *legal.Ruling) error {
-	d.skipSpace()
-	if d.tryNull() {
-		return nil
-	}
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
-	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "action":
-			err = d.decodeAction(&r.Action)
-		case "required":
-			err = setInt(d, &r.Required)
-		case "regime":
-			err = setInt(d, &r.Regime)
-		case "exceptions":
-			err = decodeIntSlice(d, &r.Exceptions)
-		case "privacy":
-			if d.tryNull() {
-				r.Privacy = nil
-			} else {
-				p := r.Privacy
-				if p == nil {
-					p = new(legal.PrivacyFinding)
-				}
-				if err = d.decodePrivacy(p); err == nil {
-					r.Privacy = p
-				}
-			}
-		case "rationale":
-			err = d.stringSlice(&r.Rationale)
-		case "citations":
-			err = d.citationSlice(&r.Citations)
-		case "applied":
-			err = d.stringSlice(&r.Applied)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-}
-
-func (d *decoder) decodeRulingView(v *report.RulingView) error {
-	d.skipSpace()
-	if d.tryNull() {
-		return nil
-	}
-	members, err := d.beginObject()
-	if err != nil || !members {
-		return err
-	}
-	for {
-		key, err := d.member()
-		if err != nil {
-			return err
-		}
-		switch string(key) {
-		case "action":
-			err = d.copiedString(&v.Action)
-		case "required":
-			err = d.copiedString(&v.Required)
-		case "regime":
-			err = d.copiedString(&v.Regime)
-		case "needsprocess":
-			err = d.setBool(&v.NeedsProcess)
-		case "exceptions":
-			err = d.stringSlice(&v.Exceptions)
-		case "rationale":
-			err = d.stringSlice(&v.Rationale)
-		case "citations":
-			err = d.stringSlice(&v.Citations)
-		default:
-			err = d.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		more, err := d.endElem('}')
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-}
-
 // DecodeAction parses data's first JSON value into a, resetting a
 // first. Trailing bytes after the value are ignored — the semantics of
 // the json.Decoder stream the server's readJSON used before this
@@ -1174,23 +908,4 @@ func DecodeActions(data []byte, dst []legal.Action) ([]legal.Action, error) {
 			return dst, nil
 		}
 	}
-}
-
-// DecodeRuling parses data's first JSON value into r, resetting r
-// first. The unexported cache-key words stay zero, exactly as with
-// encoding/json; the engine rebuilds them on evaluation.
-func DecodeRuling(data []byte, r *legal.Ruling) error {
-	d := getDecoder(data)
-	defer putDecoder(d)
-	*r = legal.Ruling{}
-	return d.decodeRuling(r)
-}
-
-// DecodeRulingView parses data's first JSON value into v, resetting v
-// first.
-func DecodeRulingView(data []byte, v *report.RulingView) error {
-	d := getDecoder(data)
-	defer putDecoder(d)
-	*v = report.RulingView{}
-	return d.decodeRulingView(v)
 }

@@ -1,15 +1,15 @@
 // Package wire is the zero-allocation JSON codec for the serving hot
-// path. It hand-encodes and hand-decodes the request/response types
-// lawgated moves per request — legal.Action, legal.Ruling,
-// report.RulingView, and the primitives the server's response
-// envelopes are built from — producing output byte-identical to
-// encoding/json (the compatibility contract, proven by differential
-// fuzz in wire_test.go) while allocating nothing at steady state:
-// encoders append into pooled buffers, decoders run off a pooled
-// scratch + name-intern cache, and the only allocations left are the
-// ones Go's aliasing rules force (fresh sub-objects and slices that
-// outlive the request inside the engine's ruling cache, and
-// first-sight strings before they are interned).
+// path. It decodes the legal.Action requests lawgated receives and
+// encodes the report.RulingView projection of each legal.Ruling it
+// serves, plus the primitives the server's response envelopes are
+// built from, byte-identical to encoding/json (the compatibility
+// contract, proven by differential fuzz in wire_test.go) while
+// allocating nothing at steady state: encoders append into pooled
+// buffers, decoders run off a pooled scratch + name-intern cache, and
+// the only allocations left are the ones Go's aliasing rules force
+// (fresh sub-objects and slices in a decoded action, which the caller
+// may keep past the request, and first-sight strings before they are
+// interned).
 //
 // Byte-identity with encoding/json is a hard requirement, not a
 // nicety: golden files, external clients, and the conformance probe

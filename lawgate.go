@@ -24,12 +24,15 @@
 //
 // For corpus-scale work the engine compiles its rule table into a
 // dispatch index (evaluation consults only the candidate rules for an
-// action's enum coordinates), offers EvaluateBatch, a bounded worker
-// pool that evaluates a slice of Actions concurrently and returns
-// rulings in input order with within-batch deduplication, and
-// WithRulingCache, a lock-free hash-keyed memoization cache whose hit
-// path allocates nothing. Rulings are immutable, so cached results are
-// shared, not copied. WithEngineStats adds cache/dispatch counters
+// action's enum coordinates) and interns ruling shapes: a ruling is the
+// caller's Action plus a shape (process, regime, exceptions, privacy
+// finding, rationale, citations, applied rules), a rule table yields
+// only a few dozen distinct shapes, and every ruling of one shape
+// shares that shape's immutable slices, so a steady-state Evaluate
+// allocates nothing and memory stays bounded by the rule table, not by
+// the action stream. EvaluateBatch is a bounded worker pool that
+// evaluates a slice of Actions concurrently and returns rulings in
+// input order. WithEngineStats adds dispatch/delta counters
 // (EngineStats) for observability.
 //
 // Around the engine sit the substrates the paper's scenarios need:
@@ -90,7 +93,7 @@ type (
 	// RuleContext is the evaluation state a Rule predicates on and
 	// mutates.
 	RuleContext = legal.RuleContext
-	// EngineOption configures NewEngine (rule table, cache, workers).
+	// EngineOption configures NewEngine (rule table, doctrine, stats, workers).
 	EngineOption = legal.EngineOption
 	// EngineStats is a snapshot of the engine's evaluation counters.
 	EngineStats = legal.EngineStats
@@ -131,16 +134,6 @@ func InsertRuleBefore(rules []Rule, name string, r Rule) ([]Rule, error) {
 
 // WithRules substitutes the engine's rule table.
 func WithRules(rules []Rule) EngineOption { return legal.WithRules(rules) }
-
-// WithRulingCache enables the lock-free ruling memoization cache
-// (sizeHint <= 0 selects the default initial table size).
-func WithRulingCache(sizeHint int) EngineOption { return legal.WithRulingCache(sizeHint) }
-
-// WithRulingCacheCapacity bounds the ruling cache at maxEntries
-// memoized rulings, evicting by generational flush when full.
-func WithRulingCacheCapacity(maxEntries int) EngineOption {
-	return legal.WithRulingCacheCapacity(maxEntries)
-}
 
 // WithEngineStats enables the engine's evaluation counters; read them
 // with Engine.Stats.

@@ -11,9 +11,8 @@
 # the 3x partition-speedup gate only when the recorded run had enough
 # cores to make the claim meaningful.
 # The `legal` target runs the BenchmarkRulingsPerSec engine-throughput
-# family (cold/warm/batch/batch-dup) plus the delta-path families
-# (BenchmarkEvaluateDelta, BenchmarkBatchDeltaChain) and writes to
-# BENCH_legal.json. The `ledger` target runs the audit-ledger family
+# family (cold/batch) plus the delta-path family (BenchmarkEvaluateDelta)
+# and writes to BENCH_legal.json. The `ledger` target runs the audit-ledger family
 # (append, batched append and its looped-append pair baseline,
 # checkpointed batches, proof generation, proof verification, full
 # chain verification) and writes to BENCH_ledger.json. The `wire`
@@ -31,7 +30,8 @@
 #
 # Each benchmark runs -count times and the per-benchmark MEDIANS of
 # ns/op, B/op, allocs/op — plus events/sec and nodes/sec where a
-# benchmark reports them — are written to FILE as JSON. When the
+# benchmark reports them — are written to FILE as JSON, with the host's
+# core count and the GOMAXPROCS the benchmarks ran under. When the
 # target's baseline file (scripts/bench_baseline.json,
 # scripts/bench_baseline_legal.json, or
 # scripts/bench_baseline_ledger.json) exists its contents are embedded
@@ -79,6 +79,7 @@ if [ "$short" = 1 ]; then
 	shardnodes=2000
 fi
 cores=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
+gomaxprocs=${GOMAXPROCS:-$cores}
 
 # The server target is self-contained: lawgated runs the chaos schedule
 # and writes the report JSON (with its in-run baseline) itself.
@@ -120,7 +121,7 @@ legal)
 	[ -n "$out" ] || out=BENCH_legal.json
 	baseline=scripts/bench_baseline_legal.json
 	echo "== legal engine throughput (count=$count, benchtime=$benchtime)" >&2
-	go test -run '^$' -bench '^(BenchmarkRulingsPerSec|BenchmarkEvaluateDelta|BenchmarkBatchDeltaChain)$' \
+	go test -run '^$' -bench '^(BenchmarkRulingsPerSec|BenchmarkEvaluateDelta)$' \
 		-benchmem -benchtime "$benchtime" -count "$count" ./internal/legal |
 		tee -a "$tmp" >&2
 	;;
@@ -190,6 +191,7 @@ END {
 	printf '  "schema": "lawgate-bench/v1",\n'
 	printf '  "go": "%s",\n' "$(go env GOVERSION)"
 	printf '  "cores": %s,\n' "$cores"
+	printf '  "gomaxprocs": %s,\n' "$gomaxprocs"
 	printf '  "count": %s,\n' "$count"
 	aggregate "$tmp"
 	if [ -f "$baseline" ]; then

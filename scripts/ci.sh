@@ -103,8 +103,8 @@ go run ./cmd/tracewatermark -smoke -json >"$tmpdir/wm-run1.json"
 go run ./cmd/tracewatermark -smoke -json >"$tmpdir/wm-run2.json"
 cmp "$tmpdir/wm-run1.json" "$tmpdir/wm-run2.json"
 
-echo "== delta equivalence sweep under the race detector"
-go test -race -run 'TestDeltaMatchesFullEvaluate|TestDeltaRoundTrip|TestBatchDeltaChainWorkersIdentity' ./internal/legal
+echo "== delta equivalence sweep and shape-table first evaluations under the race detector"
+go test -race -run 'TestDeltaMatchesFullEvaluate|TestDeltaRoundTrip|TestBatchDeltaChainWorkersIdentity|TestShapeTableConcurrentFirstEvaluations' ./internal/legal
 
 echo "== smoke: evaluate -deltas rules a JSONL event stream"
 cat >"$tmpdir/events.jsonl" <<'JSONL'
@@ -199,8 +199,10 @@ else
 		-max-pair-ratio 'BenchmarkShardedRun/comp-p1:BenchmarkShardedRun/comp-p8:1.5' \
 		BENCH_netsim.json
 fi
+# Cold Evaluate must stay allocation-free (interned ruling shapes), and
+# the delta short-circuit must keep beating a full rebuild.
 go run ./scripts/benchcheck \
-	-min-speedup 'BenchmarkRulingsPerSec/warm=2.0' \
+	-max-allocs 'BenchmarkRulingsPerSec/cold=0' \
 	-min-speedup 'BenchmarkEvaluateDelta/delta/scalar2=3.0' \
 	BENCH_legal.json
 # The batched append must keep amortizing: at least 2x cheaper per
